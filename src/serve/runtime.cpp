@@ -91,29 +91,29 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
     return result;
   }
 
-  if (backend_.pipeline_depth() >= 2) {
-    return run_pipelined(trace, std::move(result), max_k, max_nprobe);
-  }
-  return run_serial(trace, std::move(result), max_k, max_nprobe);
-}
-
-ServeResult ServingRuntime::run_serial(const std::vector<Request>& trace,
-                                       ServeResult result, std::uint32_t max_k,
-                                       std::uint32_t max_nprobe) {
+  const std::size_t depth = backend_.pipeline_depth();
   DynamicBatcher batcher(params_.batcher);
   AdmissionController admission(params_.admission);
   backend_.reset_stream();
 
   // Seed the batch-time predictor with the Eq. 15 open-loop estimate for a
-  // full-size batch at the trace's deepest (k, nprobe); observed steps then
-  // pull the EWMA toward the actual (skew-inflated) batch times.
+  // full-size batch at the trace's deepest (k, nprobe) — on a pipelined
+  // backend the steady-state step pace (the bottleneck stage, not the stage
+  // sum); observed steps then pull the EWMA toward the actual (skew-inflated)
+  // step times.
   double ewma = backend_.estimate_batch_seconds(params_.batcher.max_batch, max_nprobe,
                                                 max_k);
 
   double now = 0.0;
-  double busy_until = 0.0;
+  // Completion time of the newest launched step (monotone: the backend's
+  // timeline never completes a later batch before an earlier one).
+  double last_complete = 0.0;
+  // Modeled completion times of launched steps still in the future; its size
+  // (after dropping elapsed entries) is the in-flight count that gates
+  // launches at `depth` (a window of one on a serial backend).
+  std::deque<double> inflight_steps;
   std::size_t next_arrival = 0;
-  // Backend handle -> trace index, for the live (launched, maybe deferred)
+  // Backend handle -> trace index, for the live (enqueued, maybe deferred)
   // requests whose completion we still have to observe.
   std::unordered_map<std::uint32_t, std::size_t> inflight;
 
@@ -133,79 +133,6 @@ ServeResult ServingRuntime::run_serial(const std::vector<Request>& trace,
     trace_->set_now(0.0);
   }
 
-  // ---- mutable-index hooks (no-ops without an update stream) ----
-  std::size_t next_update = 0;
-  // Apply every update op whose arrival the clock has passed. Writer-only:
-  // the backend keeps serving its installed snapshot until a publish.
-  auto apply_updates = [&](double upto) {
-    if (updates_ == nullptr || updates_->writer == nullptr) return;
-    const auto& ops = updates_->trace->ops;
-    while (next_update < ops.size() && ops[next_update].arrival_s <= upto) {
-      const UpdateOp& op = ops[next_update];
-      if (op.kind == UpdateKind::kInsert) {
-        updates_->writer->insert(updates_->trace->insert_vectors.row(op.target));
-        ++updates_->inserts;
-      } else {
-        updates_->writer->erase(op.target);
-        ++updates_->deletes;
-      }
-      ++updates_->applied;
-      ++next_update;
-    }
-  };
-  // Requests an install flushed to completion get their records closed at
-  // the install instant (their decomposition fields stay as the last step
-  // left them: the flush is maintenance, not a normal serving step).
-  auto sweep_completions = [&](double at) {
-    for (auto it = inflight.begin(); it != inflight.end();) {
-      if (!backend_.finished(it->first)) {
-        ++it;
-        continue;
-      }
-      RequestRecord& rec = result.records[it->second];
-      rec.done_s = at;
-      rec.latency_s = at - rec.request.arrival_s;
-      rec.results = backend_.take_results(it->first).size();
-      it = inflight.erase(it);
-    }
-  };
-  // Between-batch maintenance: publish the writer's pending mutations and/or
-  // re-plan the layout when their cadences come due. The modeled install
-  // cost extends the virtual timeline; serving resumes immediately after.
-  std::size_t last_maintenance_batches = 0;
-  auto maybe_publish = [&] {
-    if (updates_ == nullptr || updates_->writer == nullptr) return;
-    if (result.batches == last_maintenance_batches) return;
-    const bool pub_due = updates_->publish_every_batches > 0 &&
-                         result.batches % updates_->publish_every_batches == 0;
-    const bool rel_due = updates_->relayout_every_batches > 0 &&
-                         result.batches % updates_->relayout_every_batches == 0;
-    if (!pub_due && !rel_due) return;
-    last_maintenance_batches = result.batches;
-    bool staged = false;
-    if (pub_due && updates_->writer->dirty()) {
-      PublishDelta delta;
-      const IndexSnapshot snap = updates_->writer->publish(&delta);
-      const double cost = backend_.stage_snapshot(snap, delta);
-      updates_->publish_seconds += cost;
-      ++updates_->publishes;
-      now += cost;
-      staged = true;
-    }
-    if (rel_due) {
-      const double cost = backend_.stage_relayout();
-      updates_->relayout_seconds += cost;
-      ++updates_->relayouts;
-      now += cost;
-      staged = true;
-    }
-    if (staged) {
-      busy_until = now;
-      if (tracing) trace_->set_now(now);
-      sweep_completions(now);
-    }
-  };
-
   double next_snapshot = 0.0;
   auto maybe_snapshot = [&](bool force = false) {
     if (params_.snapshot_period_s <= 0.0) return;
@@ -246,351 +173,13 @@ ServeResult ServingRuntime::run_serial(const std::vector<Request>& trace,
     next_snapshot = now + params_.snapshot_period_s;
   };
 
-  // Admission decision at the request's own arrival instant: residual of the
-  // running step plus the backlog's worth of batches at the EWMA batch time.
+  // Admission decision at the request's own arrival instant. The residual is
+  // the wait until the newest launched step completes — with the pipe full, a
+  // new request's batch cannot complete before everything already in it.
   // The backlog counts the queued requests AND the backend's carried
   // deferred tasks (as query-equivalents at the observed tasks-per-query
   // ratio) — without the deferred term, hot-shard skew makes predictions
   // systematically optimistic and the SLO shed threshold fires too late.
-  auto process_arrival = [&](const Request& req) {
-    const double residual = std::max(0.0, busy_until - req.arrival_s);
-    const std::size_t deferred_tasks = backend_.deferred_count();
-    const std::size_t deferred_queries =
-        deferred_tasks == 0
-            ? 0
-            : static_cast<std::size_t>(
-                  std::ceil(static_cast<double>(deferred_tasks) / tasks_per_query));
-    const std::size_t backlog = batcher.depth() + 1 + deferred_queries;
-    const std::size_t backlog_batches =
-        (backlog + params_.batcher.max_batch - 1) / params_.batcher.max_batch;
-    const double predicted =
-        residual + static_cast<double>(backlog_batches) * ewma;
-    // Cheap-rung prediction: the residual (already-launched work) is sunk;
-    // only the backlog's batches would run degraded.
-    const double predicted_degraded =
-        residual + static_cast<double>(backlog_batches) * ewma *
-                       params_.admission.degrade_cost_ratio;
-    const AdmissionDecision decision =
-        admission.decide(predicted, predicted_degraded);
-    if (decision != AdmissionDecision::kShed) {
-      Request admitted = req;
-      if (decision == AdmissionDecision::kDegrade) {
-        admitted.precision = Precision::kQ4;
-        result.records[req.id].degraded = true;
-        result.records[req.id].request.precision = Precision::kQ4;
-      }
-      batcher.enqueue(admitted, req.arrival_s);
-      if (tracing) {
-        trace_->instant(
-            req_lane,
-            decision == AdmissionDecision::kDegrade ? "degrade" : "arrive",
-            "serve", req.arrival_s,
-            {{"id", static_cast<double>(req.id)},
-             {"predicted_ms", predicted * 1e3}});
-      }
-    } else {
-      result.records[req.id].shed = true;
-      if (tracing) {
-        trace_->instant(req_lane, "shed", "serve", req.arrival_s,
-                        {{"id", static_cast<double>(req.id)},
-                         {"predicted_ms", predicted * 1e3}});
-      }
-    }
-  };
-
-  // Run one backend step (a fresh batch or a pure deferred-task drain),
-  // advance the virtual clock across it — admitting the arrivals that land
-  // while it runs — and mark the requests it completed.
-  auto run_step = [&](std::size_t fresh_count, bool flush) {
-    if (params_.flush_every > 0 && (result.batches + 1) % params_.flush_every == 0) {
-      flush = true;  // periodic flush bounds re-deferral starvation
-    }
-    if (tracing) trace_->set_now(now);  // backend spans start at step launch
-    const BackendStepStats step = backend_.step(fresh_count, flush);
-
-    // Bill the host merge by the k of the requests this step actually
-    // completed: only completed requests return hit lists to merge. (Billing
-    // the max k over ALL inflight let a single deep-k straggler — deferred
-    // across steps — inflate merge time for every subsequent mixed-k batch.)
-    std::uint64_t completed_k_sum = 0;
-    std::size_t completed = 0;
-    for (const auto& [handle, idx] : inflight) {
-      if (!backend_.finished(handle)) continue;
-      completed_k_sum += result.records[idx].request.k;
-      ++completed;
-    }
-    const double mean_completed_k =
-        completed > 0 ? static_cast<double>(completed_k_sum) /
-                            static_cast<double>(completed)
-                      : 0.0;
-    const double schedule_s = params_.schedule_cost_per_task_s *
-                              static_cast<double>(step.tasks);
-    const double merge_s = params_.merge_cost_per_hit_s *
-                           static_cast<double>(step.tasks) * mean_completed_k;
-    // Same overlap model as the engine: the dedicated pre-step launch (CL on
-    // PIM, if any) is serial, then host work (CL + schedule + merge) hides
-    // under the batch execution — whichever is longer paces the step.
-    const double host_s = step.host_seconds + schedule_s + merge_s;
-    const double wall =
-        step.pre_seconds + std::max(host_s, step.exec_seconds);
-    busy_until = now + wall;
-    ++result.batches;
-    ewma += params_.ewma_alpha * (wall - ewma);
-    if (step.fresh_queries > 0) {
-      const double observed = static_cast<double>(step.tasks) /
-                              static_cast<double>(step.fresh_queries);
-      tasks_per_query += params_.ewma_alpha * (observed - tasks_per_query);
-      if (tasks_per_query < 1.0) tasks_per_query = 1.0;
-    }
-
-    if (tracing) {
-      trace_->span(batch_lane, "step", "serve", now, wall,
-                   {{"fresh", static_cast<double>(step.fresh_queries)},
-                    {"tasks", static_cast<double>(step.tasks)},
-                    {"deferred", static_cast<double>(step.deferred)},
-                    {"completed", static_cast<double>(completed)}});
-      if (schedule_s > 0.0) {
-        trace_->span(sched_lane, "schedule", "host", now + step.pre_seconds,
-                     schedule_s, {{"tasks", static_cast<double>(step.tasks)}});
-      }
-      if (merge_s > 0.0) {
-        trace_->span(merge_lane, "merge", "host", busy_until - merge_s, merge_s,
-                     {{"mean_k", mean_completed_k}});
-      }
-      trace_->set_now(busy_until);
-    }
-
-    // Arrivals landing while this step runs decide admission at their own
-    // instants (the queue-delay prediction sees the step's residual).
-    while (next_arrival < trace.size() &&
-           trace[next_arrival].arrival_s <= busy_until) {
-      process_arrival(trace[next_arrival]);
-      ++next_arrival;
-    }
-    now = busy_until;
-
-    // Completions: every live request whose tasks have all executed.
-    for (auto it = inflight.begin(); it != inflight.end();) {
-      if (!backend_.finished(it->first)) {
-        ++it;
-        continue;
-      }
-      RequestRecord& rec = result.records[it->second];
-      rec.done_s = now;
-      rec.latency_s = now - rec.request.arrival_s;
-      rec.host_cl_s = step.host_seconds + step.pre_seconds;
-      rec.schedule_s = schedule_s;
-      rec.pim_s = step.exec_seconds;
-      rec.merge_s = merge_s;
-      rec.results = backend_.take_results(it->first).size();
-      it = inflight.erase(it);
-    }
-
-    // Mutations the step's span covered land now; maintenance (publish /
-    // re-layout) runs between steps, on its cadence.
-    apply_updates(now);
-    maybe_publish();
-  };
-
-  while (next_arrival < trace.size() || !batcher.empty() || !inflight.empty()) {
-    maybe_snapshot();
-    const bool no_more_arrivals = next_arrival >= trace.size();
-
-    // Launch when a trigger fires — or unconditionally once the trace is
-    // exhausted, since no further arrivals can top the batch up.
-    if (batcher.ready(now) || (no_more_arrivals && !batcher.empty())) {
-      std::vector<Request> batch = batcher.take_batch();
-      for (const Request& req : batch) {
-        const std::uint32_t handle =
-            backend_.enqueue(pool_.row(req.query), req.k, req.nprobe, req.precision);
-        inflight.emplace(handle, static_cast<std::size_t>(req.id));
-        RequestRecord& rec = result.records[req.id];
-        rec.queue_wait_s = now - req.arrival_s;
-      }
-      const bool flush = no_more_arrivals && batcher.empty();
-      run_step(batch.size(), flush);
-      continue;
-    }
-
-    // Idle with carried deferred tasks and nothing else to wait for: drain
-    // them with a flush step so the stragglers complete.
-    if (no_more_arrivals && batcher.empty() && backend_.has_deferred()) {
-      run_step(0, /*flush=*/true);
-      continue;
-    }
-
-    // Advance the virtual clock to the next event: an arrival or the
-    // batcher's deadline trigger.
-    double next_event = batcher.deadline_s();
-    if (!no_more_arrivals) {
-      next_event = std::min(next_event, trace[next_arrival].arrival_s);
-    }
-    if (next_event == kInf) break;  // only non-deferred inflight left (none)
-    now = std::max(now, next_event);
-    while (next_arrival < trace.size() && trace[next_arrival].arrival_s <= now) {
-      process_arrival(trace[next_arrival]);
-      ++next_arrival;
-    }
-    apply_updates(now);
-  }
-
-  maybe_snapshot(/*force=*/true);  // final state at the makespan
-  result.makespan_s = now;
-  result.ewma_batch_s = ewma;
-  result.engine_stats = backend_.stats();
-  result.report = summarize(result.records, params_.admission.slo_s);
-  return result;
-}
-
-ServeResult ServingRuntime::run_pipelined(const std::vector<Request>& trace,
-                                          ServeResult result, std::uint32_t max_k,
-                                          std::uint32_t max_nprobe) {
-  const std::size_t depth = backend_.pipeline_depth();
-  DynamicBatcher batcher(params_.batcher);
-  AdmissionController admission(params_.admission);
-  backend_.reset_stream();
-
-  // Seed the predictor with the pipelined Eq. 15 estimate (steady-state step
-  // pace: the bottleneck stage, not the stage sum).
-  double ewma = backend_.estimate_batch_seconds(params_.batcher.max_batch, max_nprobe,
-                                                max_k);
-
-  double now = 0.0;
-  // Completion time of the newest launched step (monotone: the backend's
-  // timeline never completes a later batch before an earlier one).
-  double last_complete = 0.0;
-  // Modeled completion times of launched steps still in the future; its size
-  // (after dropping elapsed entries) is the in-flight count that gates
-  // launches at `depth`.
-  std::deque<double> inflight_steps;
-  std::size_t next_arrival = 0;
-  std::unordered_map<std::uint32_t, std::size_t> inflight;
-  double tasks_per_query = static_cast<double>(max_nprobe);
-
-  const bool tracing = trace_ != nullptr;
-  std::uint32_t req_lane = 0, batch_lane = 0, sched_lane = 0, merge_lane = 0;
-  if (tracing) {
-    req_lane = trace_->lane("serve/requests");
-    batch_lane = trace_->lane("serve/batch");
-    sched_lane = trace_->lane("host/schedule");
-    merge_lane = trace_->lane("host/merge");
-    trace_->set_now(0.0);
-  }
-
-  // ---- mutable-index hooks (no-ops without an update stream); see the
-  // serial loop for the semantics. An install drains the pipe (the backends
-  // flush before swapping), so it lands at the newest in-flight completion
-  // and the modeled cost extends the timeline from there.
-  std::size_t next_update = 0;
-  auto apply_updates = [&](double upto) {
-    if (updates_ == nullptr || updates_->writer == nullptr) return;
-    const auto& ops = updates_->trace->ops;
-    while (next_update < ops.size() && ops[next_update].arrival_s <= upto) {
-      const UpdateOp& op = ops[next_update];
-      if (op.kind == UpdateKind::kInsert) {
-        updates_->writer->insert(updates_->trace->insert_vectors.row(op.target));
-        ++updates_->inserts;
-      } else {
-        updates_->writer->erase(op.target);
-        ++updates_->deletes;
-      }
-      ++updates_->applied;
-      ++next_update;
-    }
-  };
-  auto sweep_completions = [&](double at) {
-    for (auto it = inflight.begin(); it != inflight.end();) {
-      if (!backend_.finished(it->first)) {
-        ++it;
-        continue;
-      }
-      RequestRecord& rec = result.records[it->second];
-      rec.done_s = at;
-      rec.latency_s = at - rec.request.arrival_s;
-      rec.results = backend_.take_results(it->first).size();
-      it = inflight.erase(it);
-    }
-  };
-  std::size_t last_maintenance_batches = 0;
-  auto maybe_publish = [&] {
-    if (updates_ == nullptr || updates_->writer == nullptr) return;
-    if (result.batches == last_maintenance_batches) return;
-    const bool pub_due = updates_->publish_every_batches > 0 &&
-                         result.batches % updates_->publish_every_batches == 0;
-    const bool rel_due = updates_->relayout_every_batches > 0 &&
-                         result.batches % updates_->relayout_every_batches == 0;
-    if (!pub_due && !rel_due) return;
-    last_maintenance_batches = result.batches;
-    bool staged = false;
-    double at = std::max(now, last_complete);
-    if (pub_due && updates_->writer->dirty()) {
-      PublishDelta delta;
-      const IndexSnapshot snap = updates_->writer->publish(&delta);
-      const double cost = backend_.stage_snapshot(snap, delta);
-      updates_->publish_seconds += cost;
-      ++updates_->publishes;
-      at += cost;
-      staged = true;
-    }
-    if (rel_due) {
-      const double cost = backend_.stage_relayout();
-      updates_->relayout_seconds += cost;
-      ++updates_->relayouts;
-      at += cost;
-      staged = true;
-    }
-    if (staged) {
-      now = at;
-      last_complete = at;
-      inflight_steps.clear();  // the install's flush drained the pipe
-      if (tracing) trace_->set_now(at);
-      sweep_completions(at);
-    }
-  };
-
-  double next_snapshot = 0.0;
-  auto maybe_snapshot = [&](bool force = false) {
-    if (params_.snapshot_period_s <= 0.0) return;
-    if (!force && now < next_snapshot) return;
-    MetricsSnapshot s;
-    s.t_s = now;
-    s.queue_depth = batcher.depth();
-    s.inflight = inflight.size();
-    s.deferred_tasks = backend_.deferred_count();
-    s.ewma_batch_s = ewma;
-    s.admitted = admission.admitted();
-    s.shed = admission.shed();
-    s.degraded = admission.degraded();
-    const std::size_t seen = s.admitted + s.shed;
-    s.shed_rate = seen > 0 ? static_cast<double>(s.shed) / static_cast<double>(seen)
-                           : 0.0;
-    s.batches = result.batches;
-    s.shards = backend_.shard_health();  // empty unless a cluster backend
-    result.snapshots.push_back(s);
-    if (tracing) {
-      trace_->counter("serve/queue", now,
-                      {{"depth", static_cast<double>(s.queue_depth)},
-                       {"inflight", static_cast<double>(s.inflight)},
-                       {"deferred_tasks", static_cast<double>(s.deferred_tasks)}});
-      trace_->counter("serve/ewma_batch_ms", now, {{"ewma", ewma * 1e3}});
-      trace_->counter("serve/shed_rate", now, {{"rate", s.shed_rate}});
-      if (!s.shards.empty()) {
-        std::vector<obs::TraceArg> queue_series, busy_series;
-        for (const ShardHealth& h : s.shards) {
-          const std::string key = "shard" + std::to_string(h.shard);
-          queue_series.emplace_back(key, static_cast<double>(h.queue_tasks));
-          busy_series.emplace_back(key, h.busy_seconds * 1e3);
-        }
-        trace_->counter("serve/shard_queue", now, std::move(queue_series));
-        trace_->counter("serve/shard_busy_ms", now, std::move(busy_series));
-      }
-    }
-    next_snapshot = now + params_.snapshot_period_s;
-  };
-
-  // Admission at the request's arrival instant. The residual term is the
-  // wait until the *newest* in-flight step completes — with the pipe full,
-  // a new request's batch cannot complete before everything already in it.
   auto process_arrival = [&](const Request& req) {
     const double residual = std::max(0.0, last_complete - req.arrival_s);
     const std::size_t deferred_tasks = backend_.deferred_count();
@@ -637,19 +226,110 @@ ServeResult ServingRuntime::run_pipelined(const std::vector<Request>& trace,
     }
   };
 
-  // Launch one backend step at `now`. Execution is synchronous (results and
-  // completion sets are final when step() returns) but the modeled
-  // completion lands in the future on the backend's pipelined timeline; the
-  // serve-layer host costs (schedule + merge, plus the overlapped host CL)
-  // extend it, since host work is serial across steps.
+  // ---- mutable-index hooks (no-ops without an update stream) ----
+  std::size_t next_update = 0;
+  // Apply every update op whose arrival the clock has passed. Writer-only:
+  // the backend keeps serving its installed snapshot until a publish.
+  auto apply_updates = [&](double upto) {
+    if (updates_ == nullptr || updates_->writer == nullptr) return;
+    const auto& ops = updates_->trace->ops;
+    while (next_update < ops.size() && ops[next_update].arrival_s <= upto) {
+      const UpdateOp& op = ops[next_update];
+      if (op.kind == UpdateKind::kInsert) {
+        updates_->writer->insert(updates_->trace->insert_vectors.row(op.target));
+        ++updates_->inserts;
+      } else {
+        updates_->writer->erase(op.target);
+        ++updates_->deletes;
+      }
+      ++updates_->applied;
+      ++next_update;
+    }
+  };
+  // Bring the loop up to instant `t`: arrivals decide admission at their own
+  // instants, then the update ops that landed by `t` reach the writer.
+  auto admit_until = [&](double t) {
+    while (next_arrival < trace.size() && trace[next_arrival].arrival_s <= t) {
+      process_arrival(trace[next_arrival]);
+      ++next_arrival;
+    }
+    apply_updates(t);
+  };
+  // Requests an install flushed to completion get their records closed at
+  // the install instant (their decomposition fields stay as the last step
+  // left them: the flush is maintenance, not a normal serving step).
+  auto sweep_completions = [&](double at) {
+    for (auto it = inflight.begin(); it != inflight.end();) {
+      if (!backend_.finished(it->first)) {
+        ++it;
+        continue;
+      }
+      RequestRecord& rec = result.records[it->second];
+      rec.done_s = at;
+      rec.latency_s = at - rec.request.arrival_s;
+      rec.results = backend_.take_results(it->first).size();
+      it = inflight.erase(it);
+    }
+  };
+  // Between-step maintenance: publish the writer's pending mutations and/or
+  // re-plan the layout when their cadences come due. An install drains the
+  // pipe (the backends flush before swapping), so it runs at the drain
+  // instant max(now, last_complete), after the loop has admitted the
+  // arrivals and applied the ops up to it; the modeled install cost extends
+  // the timeline from there and serving resumes immediately after.
+  std::size_t last_maintenance_batches = 0;
+  auto maybe_publish = [&] {
+    if (updates_ == nullptr || updates_->writer == nullptr) return;
+    if (result.batches == last_maintenance_batches) return;
+    const bool pub_due = updates_->publish_every_batches > 0 &&
+                         result.batches % updates_->publish_every_batches == 0;
+    const bool rel_due = updates_->relayout_every_batches > 0 &&
+                         result.batches % updates_->relayout_every_batches == 0;
+    if (!pub_due && !rel_due) return;
+    last_maintenance_batches = result.batches;
+    double at = std::max(now, last_complete);
+    apply_updates(at);
+    const bool publish = pub_due && updates_->writer->dirty();
+    if (!publish && !rel_due) return;
+    admit_until(at);
+    if (tracing) trace_->set_now(at);
+    if (publish) {
+      PublishDelta delta;
+      const IndexSnapshot snap = updates_->writer->publish(&delta);
+      const double cost = backend_.stage_snapshot(snap, delta);
+      updates_->publish_seconds += cost;
+      ++updates_->publishes;
+      at += cost;
+    }
+    if (rel_due) {
+      const double cost = backend_.stage_relayout();
+      updates_->relayout_seconds += cost;
+      ++updates_->relayouts;
+      at += cost;
+    }
+    now = at;
+    last_complete = at;
+    inflight_steps.clear();  // the install's flush drained the pipe
+    if (tracing) trace_->set_now(at);
+    sweep_completions(at);
+  };
+
+  // Launch one backend step (a fresh batch or a pure deferred-task drain) at
+  // `now`. Execution is synchronous (results and completion sets are final
+  // when step() returns); only the modeled completion lies in the future, so
+  // the requests it completed are stamped with it right away.
   auto launch_step = [&](std::size_t fresh_count, bool flush) {
     if (params_.flush_every > 0 && (result.batches + 1) % params_.flush_every == 0) {
       flush = true;  // periodic flush bounds re-deferral starvation
     }
-    if (tracing) trace_->set_now(now);
+    if (tracing) trace_->set_now(now);  // backend spans start at step launch
     backend_.set_step_start(now);
     const BackendStepStats step = backend_.step(fresh_count, flush);
 
+    // Bill the host merge by the k of the requests this step actually
+    // completed: only completed requests return hit lists to merge. (Billing
+    // the max k over ALL inflight let a single deep-k straggler — deferred
+    // across steps — inflate merge time for every subsequent mixed-k batch.)
     std::uint64_t completed_k_sum = 0;
     std::size_t completed = 0;
     for (const auto& [handle, idx] : inflight) {
@@ -665,12 +345,26 @@ ServeResult ServingRuntime::run_pipelined(const std::vector<Request>& trace,
                               static_cast<double>(step.tasks);
     const double merge_s = params_.merge_cost_per_hit_s *
                            static_cast<double>(step.tasks) * mean_completed_k;
-    double complete = std::max(
-        step.complete_seconds,
-        now + step.pre_seconds + step.host_seconds + schedule_s + merge_s);
-    complete = std::max(complete, last_complete);
-    // Steady-state step interval: what this step added to the timeline.
-    const double interval = complete - std::max(last_complete, now);
+    // `interval` is what this step added to the timeline; it feeds the EWMA.
+    double complete = 0.0;
+    double interval = 0.0;
+    if (depth == 1) {
+      // Same overlap model as the engine: the dedicated pre-step launch (CL
+      // on PIM, if any) is serial, then host work (CL + schedule + merge)
+      // hides under the batch execution — whichever is longer paces the
+      // step. Serial backends need not anchor complete_seconds to the launch.
+      interval = step.pre_seconds +
+                 std::max(step.host_seconds + schedule_s + merge_s, step.exec_seconds);
+      complete = now + interval;
+    } else {
+      // Pipelined: the backend's timeline places the step; the serve-layer
+      // host costs extend it, since host work is serial across steps.
+      complete = std::max(
+          step.complete_seconds,
+          now + step.pre_seconds + step.host_seconds + schedule_s + merge_s);
+      complete = std::max(complete, last_complete);
+      interval = complete - std::max(last_complete, now);
+    }
     last_complete = complete;
     inflight_steps.push_back(complete);
     ++result.batches;
@@ -699,8 +393,7 @@ ServeResult ServingRuntime::run_pipelined(const std::vector<Request>& trace,
       }
     }
 
-    // Completions: stamped with this step's modeled completion (the results
-    // themselves are final now — only the timestamps are in the future).
+    // Completions: every live request whose tasks have all executed.
     for (auto it = inflight.begin(); it != inflight.end();) {
       if (!backend_.finished(it->first)) {
         ++it;
@@ -717,7 +410,6 @@ ServeResult ServingRuntime::run_pipelined(const std::vector<Request>& trace,
       it = inflight.erase(it);
     }
 
-    apply_updates(now);
     maybe_publish();
   };
 
@@ -731,6 +423,8 @@ ServeResult ServingRuntime::run_pipelined(const std::vector<Request>& trace,
     const bool no_more_arrivals = next_arrival >= trace.size();
     const bool can_launch = inflight_steps.size() < depth;
 
+    // Launch when a trigger fires — or unconditionally once the trace is
+    // exhausted, since no further arrivals can top the batch up.
     if (can_launch &&
         (batcher.ready(now) || (no_more_arrivals && !batcher.empty()))) {
       std::vector<Request> batch = batcher.take_batch();
@@ -746,35 +440,39 @@ ServeResult ServingRuntime::run_pipelined(const std::vector<Request>& trace,
     }
 
     // Idle with carried deferred tasks, room in the pipe, and nothing else
-    // to wait for: drain them with a flush step.
+    // to wait for: drain them with a flush step so the stragglers complete.
     if (can_launch && no_more_arrivals && batcher.empty() &&
         backend_.has_deferred()) {
       launch_step(0, /*flush=*/true);
       continue;
     }
 
-    // Advance to the next event: an arrival, the batcher's deadline (only
-    // actionable while a pipeline slot is free — with the pipe full, an
-    // already-expired deadline would pin the clock), or the oldest in-flight
-    // step's completion (which frees a slot).
-    double next_event = can_launch ? batcher.deadline_s() : kInf;
-    if (!no_more_arrivals) {
-      next_event = std::min(next_event, trace[next_arrival].arrival_s);
+    // Advance to the next event. With the pipe full, only the oldest step's
+    // completion frees a slot, so jump there (an expired batcher deadline
+    // would otherwise pin the clock). Otherwise: an arrival, the batcher's
+    // deadline trigger, or the oldest completion.
+    double next_event = kInf;
+    if (!can_launch) {
+      next_event = inflight_steps.front();
+    } else {
+      next_event = batcher.deadline_s();
+      if (!no_more_arrivals) {
+        next_event = std::min(next_event, trace[next_arrival].arrival_s);
+      }
+      if (!inflight_steps.empty()) {
+        next_event = std::min(next_event, inflight_steps.front());
+      }
     }
-    if (!inflight_steps.empty()) {
-      next_event = std::min(next_event, inflight_steps.front());
-    }
-    if (next_event == kInf) break;
+    if (next_event == kInf) break;  // nothing left that can make progress
     now = std::max(now, next_event);
-    while (next_arrival < trace.size() && trace[next_arrival].arrival_s <= now) {
-      process_arrival(trace[next_arrival]);
-      ++next_arrival;
-    }
-    apply_updates(now);
+    admit_until(now);
   }
 
-  now = std::max(now, last_complete);  // drain the pipe's tail
-  maybe_snapshot(/*force=*/true);
+  if (now < last_complete) {  // drain the pipe's tail
+    now = last_complete;
+    admit_until(now);
+  }
+  maybe_snapshot(/*force=*/true);  // final state at the makespan
   result.makespan_s = now;
   result.ewma_batch_s = ewma;
   result.engine_stats = backend_.stats();

@@ -8,6 +8,19 @@
 // the inter-batch filter deferred some of their tasks. Each request leaves a
 // RequestRecord with its full latency decomposition; run() returns them plus
 // the aggregate ServeReport and the backend's accumulated search stats.
+//
+// One event loop serves every backend. It keeps up to the backend's
+// pipeline_depth() steps in flight, so a serial backend is a window of one.
+// Three rules each live in one place (DESIGN.md §9):
+//  (a) step completion — at depth 1 a step completes at
+//      now + pre + max(host + schedule + merge, exec), and that wall time
+//      feeds the EWMA (serial backends need not anchor complete_seconds to
+//      the launch); at depth >= 2 the backend's timeline places it;
+//  (b) full pipe — the loop jumps to the oldest completion, admitting the
+//      arrivals on the way at their own instants;
+//  (c) maintenance — a publish or re-layout runs at the drain instant
+//      max(now, last completion), after the arrivals and update ops up to
+//      that instant have been admitted and applied.
 
 #include <cstddef>
 #include <memory>
@@ -119,16 +132,6 @@ class ServingRuntime {
   void set_update_stream(UpdateStream* updates) { updates_ = updates; }
 
  private:
-  /// The serial event loop (backend pipeline_depth() == 1): one step in
-  /// flight at a time, the clock jumping across each step's critical path.
-  ServeResult run_serial(const std::vector<Request>& trace, ServeResult result,
-                         std::uint32_t max_k, std::uint32_t max_nprobe);
-  /// The pipelined event loop (depth >= 2): keeps up to `depth` steps in
-  /// flight, launching while earlier steps' modeled completions are still in
-  /// the future, so transfer stages overlap compute across steps.
-  ServeResult run_pipelined(const std::vector<Request>& trace, ServeResult result,
-                            std::uint32_t max_k, std::uint32_t max_nprobe);
-
   std::unique_ptr<AnnBackend> owned_backend_;  ///< compat-ctor wrapper only
   AnnBackend& backend_;
   const FloatMatrix& pool_;
