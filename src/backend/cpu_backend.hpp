@@ -19,11 +19,6 @@ struct CpuBackendOptions {
   /// Comparator platform for modeled step times.
   PlatformParams platform = cpu_platform();
   bool multiplier_less = false;  ///< CPU squares natively; kept for ablations
-  /// Accepted for CLI parity with the DRIM backends' --pipeline-depth knob,
-  /// but the CPU baseline has no separable transfer stage to overlap, so the
-  /// backend always executes (and reports) serial steps: pipeline_depth()
-  /// stays 1 regardless of this value.
-  std::size_t pipeline_depth = 1;
 };
 
 class CpuBackend final : public AnnBackend {

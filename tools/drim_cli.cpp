@@ -357,7 +357,6 @@ std::unique_ptr<AnnBackend> backend_from_args(const Args& args, const IvfPqIndex
   opts.enable_q4 = precision_from_args(args) == Precision::kQ4 ||
                    min_rung_from_args(args) >= 1;
   CpuBackendOptions cpu_opts;
-  cpu_opts.pipeline_depth = opts.pipeline_depth;
   const std::size_t shards = args.get_size_checked("shards", 1, 1, 4096);
   if (shards > 1 || args.has("shard-replication")) {
     cluster::ClusterOptions copts;
