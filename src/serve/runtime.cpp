@@ -276,7 +276,8 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
   // pipe (the backends flush before swapping), so it runs at the drain
   // instant max(now, last_complete), after the loop has admitted the
   // arrivals and applied the ops up to it; the modeled install cost extends
-  // the timeline from there and serving resumes immediately after.
+  // the timeline from there. Requests that arrived during the install are
+  // admitted at its end, before the next launch can leave them behind.
   std::size_t last_maintenance_batches = 0;
   auto maybe_publish = [&] {
     if (updates_ == nullptr || updates_->writer == nullptr) return;
@@ -312,6 +313,7 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
     inflight_steps.clear();  // the install's flush drained the pipe
     if (tracing) trace_->set_now(at);
     sweep_completions(at);
+    admit_until(at);
   };
 
   // Launch one backend step (a fresh batch or a pure deferred-task drain) at

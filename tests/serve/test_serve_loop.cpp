@@ -239,5 +239,109 @@ TEST_F(ServeLoopTest, RandomizedConfigsAgreeAcrossPlatformsAndPassthrough) {
   EXPECT_GT(pipelined_overlaps, 0u);
 }
 
+/// Deterministic backend for the install-admission test: every step runs all
+/// its fresh queries to completion in 1 ms, and a snapshot install costs a
+/// full second of modeled time.
+class SlowInstallBackend : public AnnBackend {
+ public:
+  static constexpr double kStepSeconds = 1e-3;
+  static constexpr double kInstallSeconds = 1.0;
+
+  std::string name() const override { return "slow-install"; }
+  std::vector<std::vector<Neighbor>> search(const FloatMatrix&, std::size_t,
+                                            std::size_t) override {
+    return {};
+  }
+  void reset_stream() override {
+    pending_.clear();
+    done_.clear();
+    next_ = 0;
+  }
+  std::uint32_t enqueue(std::span<const float>, std::size_t, std::size_t) override {
+    pending_.push_back(next_);
+    return next_++;
+  }
+  BackendStepStats step(std::size_t max_queries, bool) override {
+    const std::size_t n = max_queries == 0 ? pending_.size()
+                                           : std::min(pending_.size(), max_queries);
+    done_.insert(done_.end(), pending_.begin(), pending_.begin() + static_cast<long>(n));
+    pending_.erase(pending_.begin(), pending_.begin() + static_cast<long>(n));
+    BackendStepStats s;
+    s.fresh_queries = n;
+    s.tasks = n;
+    s.exec_seconds = kStepSeconds;
+    s.step_seconds = kStepSeconds;
+    return s;
+  }
+  bool has_deferred() const override { return false; }
+  bool finished(std::uint32_t handle) const override {
+    return std::find(done_.begin(), done_.end(), handle) != done_.end();
+  }
+  std::vector<Neighbor> take_results(std::uint32_t handle) override {
+    done_.erase(std::find(done_.begin(), done_.end(), handle));
+    return std::vector<Neighbor>(10);
+  }
+  std::size_t stream_depth() const override { return pending_.size(); }
+  double estimate_batch_seconds(std::size_t, std::size_t, std::size_t) const override {
+    return kStepSeconds;
+  }
+  BackendStats stats() const override { return {}; }
+  bool supports_updates() const override { return true; }
+  double stage_snapshot(const IndexSnapshot&, const PublishDelta&) override {
+    return kInstallSeconds;
+  }
+
+ private:
+  std::vector<std::uint32_t> pending_;
+  std::vector<std::uint32_t> done_;
+  std::uint32_t next_ = 0;
+};
+
+TEST_F(ServeLoopTest, ArrivalDuringInstallJoinsTheFirstBatchAfterIt) {
+  // r0 + r1 fill a batch at t = 0. The publish that follows runs at the
+  // step's completion (1 ms) and holds the clock for 1 s. r2 arrives while
+  // the step runs, r3 halfway through the install. Both are waiting when
+  // the install ends, so the next batch must carry both — r3 must not miss
+  // it and wait behind a batch launched without it.
+  std::vector<Request> trace(4);
+  const double arrivals[] = {0.0, 0.0, 5e-4, 0.5};
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = i;
+    trace[i].arrival_s = arrivals[i];
+    trace[i].query = static_cast<std::uint32_t>(i);
+  }
+  ServeParams sp;
+  sp.batcher.max_batch = 2;
+  sp.batcher.max_wait_s = 1e-3;
+  sp.admission.enabled = false;
+  sp.flush_every = 0;
+
+  // One insert at t = 0 makes the writer dirty for the first publish.
+  UpdateTrace updates;
+  updates.insert_vectors = FloatMatrix(1, data_->queries.dim());
+  std::copy(data_->queries.row(0).begin(), data_->queries.row(0).end(),
+            updates.insert_vectors.row(0).begin());
+  updates.ops.push_back({0.0, UpdateKind::kInsert, 0});
+  IndexWriter writer(*index_);
+  UpdateStream stream;
+  stream.trace = &updates;
+  stream.writer = &writer;
+  stream.publish_every_batches = 1;
+
+  SlowInstallBackend backend;
+  ServingRuntime runtime(backend, data_->queries, sp);
+  runtime.set_update_stream(&stream);
+  const ServeResult res = runtime.run(trace);
+
+  ASSERT_EQ(stream.publishes, 1u);
+  const double install_end =
+      SlowInstallBackend::kStepSeconds + SlowInstallBackend::kInstallSeconds;
+  EXPECT_EQ(res.batches, 2u) << "r2 and r3 share the batch after the install";
+  EXPECT_EQ(res.records[2].queue_wait_s, install_end - arrivals[2]);
+  EXPECT_EQ(res.records[3].queue_wait_s, install_end - arrivals[3]);
+  EXPECT_EQ(res.records[3].done_s, res.records[2].done_s);
+  EXPECT_EQ(res.records[3].done_s, install_end + SlowInstallBackend::kStepSeconds);
+}
+
 }  // namespace
 }  // namespace drim::serve
