@@ -205,8 +205,9 @@ TEST_F(ServeLoopTest, RandomizedConfigsAgreeAcrossPlatformsAndPassthrough) {
       expect_same_result(on_sim, on_analytic);
     }
 
-    // The passthrough runs on the platform the seed's parity picks, against
-    // the plain backend on that platform.
+    // The passthrough alternates platforms every four seeds, so both
+    // platforms meet both depths with and without updates; it is compared
+    // against the plain backend on the same platform.
     const bool cluster_on_sim = (seed / 4) % 2 == 0;
     cluster::ClusterOptions copts;
     copts.num_shards = 1;
