@@ -288,6 +288,9 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
                          result.batches % updates_->relayout_every_batches == 0;
     if (!pub_due && !rel_due) return;
     last_maintenance_batches = result.batches;
+    // Ops first: whether the writer is dirty depends on them. Arrivals only
+    // once an install is certain — without one, the pipe may still launch a
+    // step before they arrive.
     double at = std::max(now, last_complete);
     apply_updates(at);
     const bool publish = pub_due && updates_->writer->dirty();
