@@ -865,7 +865,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   // ---- cluster-major fusion plan (DESIGN.md §16) ----
   // Group each DPU's tasks by (cluster, rung) so the kernel streams every
   // fused group's codes from MRAM once. Planned host-side (the kernel is
-  // shipped the plan, and the charge twin must see the identical grouping);
+  // shipped the plan, so both kernel instantiations see the same grouping);
   // the saved re-stream bytes are tallied here from the plan alone.
   const std::size_t fuse_width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
   std::vector<std::vector<FusedTaskGroup>> dpu_groups;
@@ -922,22 +922,16 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
         if (dpu_tasks[d].empty()) return;
         SearchKernelArgs a = args;
         a.output_offset = dpu_output_off[d];
-        // fuse_width 1 keeps the LITERAL per-task kernels so results and
-        // modeled times reproduce the pre-fusion engine bit-for-bit.
+        // fuse_width 1 ships no group plan: the kernel runs one group per
+        // task with no descriptor table, so results and modeled times
+        // reproduce the pre-fusion engine bit-for-bit.
+        const std::span<const FusedTaskGroup> groups =
+            fuse_width > 1 ? std::span<const FusedTaskGroup>(dpu_groups[d])
+                           : std::span<const FusedTaskGroup>();
         if (functional) {
-          if (fuse_width > 1) {
-            run_fused_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d],
-                                    dpu_groups[d]);
-          } else {
-            run_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d]);
-          }
+          run_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d], groups);
         } else {
-          if (fuse_width > 1) {
-            charge_fused_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d],
-                                       dpu_groups[d]);
-          } else {
-            charge_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d]);
-          }
+          charge_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d], groups);
         }
       },
       [&]() {

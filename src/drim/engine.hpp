@@ -82,8 +82,9 @@ struct DrimEngineOptions {
   /// DPU's tasks are grouped by (cluster, rung) into fused groups of up to
   /// this many queries; the kernel streams the cluster's packed codes from
   /// MRAM once per group, scoring every member's LUT against each code block
-  /// before advancing. 1 (default) keeps the literal per-task kernels —
-  /// results AND modeled times reproduce bit-for-bit. Widths > 1 leave
+  /// before advancing. 1 (default) ships no group plan and runs one group
+  /// per task — results AND modeled times reproduce the unfused engine
+  /// bit-for-bit. Widths > 1 leave
   /// results bit-identical (each member keeps its own LUT, heap, and output
   /// row) and only amortize the DC DMA stream. Bounded by the 64 KB WRAM
   /// budget: G LUTs + one code block + G top-k heaps must fit; infeasible
@@ -306,7 +307,7 @@ class DrimAnnEngine {
   /// Largest cluster-major fusion width whose WRAM working set (G LUTs + one
   /// code block + G bounded top-k heaps; q4 pair-LUT rows when the ladder is
   /// on) fits the 64 KB budget at search depth `k` (DESIGN.md §16). 0 means
-  /// even the unfused per-task working set does not fit. search_batch() and
+  /// even the unfused (width 1) working set does not fit. search_batch() and
   /// the constructor validate opts().fuse_width against this bound.
   std::size_t max_feasible_fuse_width(std::size_t k) const;
 
@@ -370,7 +371,7 @@ class DrimAnnEngine {
 
   /// Throw std::invalid_argument naming the maximum feasible fusion width
   /// when opts_.fuse_width's WRAM working set cannot fit at depth `k`.
-  /// No-op at fuse_width <= 1 (the per-task kernels do their own check).
+  /// No-op at fuse_width <= 1 (the kernel does its own check at launch).
   void validate_fuse_width(std::size_t k) const;
 
   /// (Re)derive the Eq. 15 predictor coefficients for search depth `k`,

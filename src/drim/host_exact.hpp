@@ -20,8 +20,8 @@ namespace drim {
 
 /// Exact hits of one search task (query x shard): ascending (distance, local
 /// index) under the kernel's total order, winners' global base-point ids
-/// resolved, sentinel-padded to k entries — byte-for-byte what
-/// run_search_kernel writes for the task. Writes straight into the caller's
+/// resolved, sentinel-padded to k entries — byte-for-byte the row the
+/// search kernel writes for the task. Writes straight into the caller's
 /// k-entry output row (the engine's collect path hands each task its slice
 /// of the pulled block, so the hot loop allocates nothing per task).
 /// `dead`, when non-null, holds the cluster's positional tombstone flags
@@ -70,7 +70,7 @@ void host_build_adc_lut(const PimIndexData& data,
                         std::span<const std::int16_t> query,
                         std::uint32_t cluster, std::span<std::uint32_t> lut);
 
-/// Bit-exact replay of the 4-bit rung of run_search_kernel for one task:
+/// Bit-exact replay of the search kernel's 4-bit rung for one task:
 /// shifted residual, coarse cb4-entry sub-LUTs, packed dual-nibble code
 /// scan. Output rows carry LOCAL shard indices (the kernel skips id
 /// resolution on this rung); host_rerank_q4_row turns them into final
@@ -101,7 +101,7 @@ void host_rerank_q4_row_with_lut(const PimIndexData& data,
 /// Exact per-DPU CL candidates of one query over the centroid range
 /// [centroid_begin, centroid_begin + centroid_count): top-`keep` by
 /// (distance, global centroid id), sentinel-padded to keep — what
-/// run_cl_kernel writes for the query's output row. Writes into the caller's
+/// the CL kernel writes for the query's output row. Writes into the caller's
 /// keep-entry output row.
 void host_cl_candidates_into(const PimIndexData& data,
                              std::span<const std::int16_t> query,

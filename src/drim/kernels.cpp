@@ -8,32 +8,54 @@
 namespace drim {
 namespace {
 
-/// DMA a region in <= kMaxDmaBytes chunks (UPMEM transfers are bounded).
-void mram_read_chunked(DpuContext& ctx, std::size_t offset, std::span<std::uint8_t> dst) {
-  std::size_t done = 0;
-  while (done < dst.size()) {
-    const std::size_t n = std::min(kMaxDmaBytes, dst.size() - done);
-    ctx.mram_read(offset + done, dst.subspan(done, n));
-    done += n;
+// ---- the compile-time "move bytes" policy ----
+// Each kernel below is written once, templated on kMove. kMove = true is the
+// functional instantiation (SimPimPlatform): DMA moves bytes between the
+// simulated MRAM and WRAM buffers and the arithmetic runs. kMove = false is
+// the charge-only instantiation (AnalyticPimPlatform): every DMA bills the
+// same transfer size without touching MRAM, and the WRAM buffers, byte
+// moves, arithmetic and heap pushes compile out. Both bill every cycle
+// through the same statements, so their per-phase counters are equal by
+// construction.
+
+/// A WRAM working buffer of n elements; empty (never allocated) in the
+/// charge-only instantiation, which touches no data.
+template <bool kMove, typename T>
+std::vector<T> wram_buffer(std::size_t n) {
+  return std::vector<T>(kMove ? n : 0);
+}
+
+/// One MRAM -> WRAM DMA of `bytes` into `dst` (billed only when !kMove).
+template <bool kMove>
+void dma_read(DpuContext& ctx, std::size_t offset, void* dst, std::size_t bytes) {
+  if constexpr (kMove) {
+    ctx.mram_read(offset, {static_cast<std::uint8_t*>(dst), bytes});
+  } else {
+    ctx.charge_mram_read(bytes);
   }
 }
 
-/// Bill the DMA of a region fetched in <= kMaxDmaBytes chunks (charge-only
-/// twin of mram_read_chunked: same transfer count and sizes).
-void charge_read_chunked(DpuContext& ctx, std::size_t bytes) {
+/// DMA a region in <= kMaxDmaBytes chunks (UPMEM transfers are bounded).
+/// With kMove = false the same transfers are billed and `dst` is unused.
+template <bool kMove>
+void mram_read_chunked(DpuContext& ctx, std::size_t offset, void* dst,
+                       std::size_t bytes) {
   std::size_t done = 0;
   while (done < bytes) {
     const std::size_t n = std::min(kMaxDmaBytes, bytes - done);
-    ctx.charge_mram_read(n);
+    if constexpr (kMove) {
+      ctx.mram_read(offset + done, {static_cast<std::uint8_t*>(dst) + done, n});
+    } else {
+      ctx.charge_mram_read(n);
+    }
     done += n;
   }
 }
 
-// ---- shared instruction-charging policy ----
-// The functional kernels and their analytic twins bill instruction cycles
-// through the SAME deterministic helpers below, so per-phase cycle counters
-// are exactly equal between SimPimPlatform and AnalyticPimPlatform (pinned
-// by tests/test_platforms.cpp). The policy is schedule/layout-determined:
+// ---- instruction-charging policy ----
+// Instruction cycles follow a deterministic, schedule/layout-determined
+// policy, which is what keeps the two instantiations' counters equal (pinned
+// by tests/test_platforms.cpp):
 //   - squaring bills one square-LUT lookup per dimension when the square
 //     table is enabled (the broadcast table is sized to cover the full
 //     operand range, so this is the real cost), or a 32-cycle multiply per
@@ -66,7 +88,7 @@ std::uint64_t amortized_topk_cycles(const DpuInstructionCosts& c, std::uint64_t 
 
 /// Fixed-capacity WRAM top-k (binary max-heap on distance, ties by id).
 /// Maintenance cycles are billed in bulk via amortized_topk_cycles, not per
-/// push, so the charge stream is identical to the analytic twin's.
+/// push, so the charge stream does not depend on the data.
 class WramTopK {
  public:
   explicit WramTopK(std::uint32_t k) : k_(k) { heap_.reserve(k); }
@@ -104,386 +126,332 @@ class WramTopK {
                                  // are resolved at task end
 };
 
-}  // namespace
-
-void run_cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
+template <bool kMove>
+void cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
   const std::size_t dim = args.dim;
   if (args.num_queries == 0 || args.centroid_count == 0) return;
 
-  std::vector<std::int16_t> query(dim);
-  std::vector<std::int16_t> centroid(dim);
   const std::size_t wram =
-      query.size() * 2 + centroid.size() * 2 + args.nprobe * sizeof(KernelHit) +
+      dim * 2 + dim * 2 + args.nprobe * sizeof(KernelHit) +
       (args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0);
   check_wram_budget(ctx.config(), wram);
+  std::vector<std::int16_t> query = wram_buffer<kMove, std::int16_t>(dim);
+  std::vector<std::int16_t> centroid = wram_buffer<kMove, std::int16_t>(dim);
 
   ctx.set_phase(Phase::CL);
   const std::uint64_t cnt = args.centroid_count;
   for (std::uint32_t q = 0; q < args.num_queries; ++q) {
-    ctx.mram_read_t<std::int16_t>(args.queries_offset + q * dim * 2,
-                                  std::span<std::int16_t>(query));
-    WramTopK topk(args.nprobe);
+    dma_read<kMove>(ctx, args.queries_offset + q * dim * 2, query.data(), dim * 2);
+    WramTopK topk(kMove ? args.nprobe : 0);
     for (std::uint32_t c = 0; c < args.centroid_count; ++c) {
       const std::uint32_t global = args.centroid_begin + c;
-      ctx.mram_read_t<std::int16_t>(args.centroids_offset + global * dim * 2,
-                                    std::span<std::int16_t>(centroid));
-      std::uint32_t dist = 0;
-      for (std::size_t d = 0; d < dim; ++d) {
-        const std::int32_t diff = static_cast<std::int32_t>(query[d]) - centroid[d];
-        const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-        dist += a * a;
+      dma_read<kMove>(ctx, args.centroids_offset + global * dim * 2, centroid.data(),
+                      dim * 2);
+      if constexpr (kMove) {
+        std::uint32_t dist = 0;
+        for (std::size_t d = 0; d < dim; ++d) {
+          const std::int32_t diff = static_cast<std::int32_t>(query[d]) - centroid[d];
+          const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+          dist += a * a;
+        }
+        topk.push(dist, global);
       }
-      topk.push(dist, global);
     }
     // Per dim of each centroid: subtract + square + accumulate (the Eq. 1
     // "3D - 1" shape), then the amortized top-nprobe maintenance.
     charge_square_stream(ctx, args.use_square_lut, cnt * dim);
     ctx.charge_adds(cnt * 2 * dim);
     ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, cnt, args.nprobe));
-    std::vector<KernelHit> hits = topk.sorted();
-    hits.resize(args.nprobe, KernelHit{});
-    ctx.mram_write(args.output_offset + q * args.nprobe * sizeof(KernelHit),
-                   {reinterpret_cast<const std::uint8_t*>(hits.data()),
-                    args.nprobe * sizeof(KernelHit)});
+    if constexpr (kMove) {
+      std::vector<KernelHit> hits = topk.sorted();
+      hits.resize(args.nprobe, KernelHit{});
+      ctx.mram_write(args.output_offset + q * args.nprobe * sizeof(KernelHit),
+                     {reinterpret_cast<const std::uint8_t*>(hits.data()),
+                      args.nprobe * sizeof(KernelHit)});
+    } else {
+      ctx.charge_mram_write(args.nprobe * sizeof(KernelHit));
+    }
   }
 }
 
-void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                       std::span<const ShardRegion> shards,
-                       std::span<const KernelTask> tasks) {
+/// The search kernel. `groups` empty = one group per task, in task order,
+/// with no group-descriptor table shipped (the unfused launch).
+template <bool kMove>
+void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
+                   std::span<const ShardRegion> shards,
+                   std::span<const KernelTask> tasks,
+                   std::span<const FusedTaskGroup> groups) {
   const std::size_t dim = args.dim;
   const std::size_t m = args.m;
   const std::size_t cb = args.cb;
   const std::size_t dsub = dim / m;
-
-  // Quantization-ladder geometry; q4 buffers join the working set only when
-  // this launch actually carries a 4-bit task, so full-rung launches keep
-  // the exact pre-ladder WRAM accounting.
   const std::size_t cb4 = args.cb4;
   const std::size_t pairs = args.has_q4 ? (m + 1) / 2 : 0;
-  bool any_q4 = false;
-  if (args.has_q4) {
-    for (const KernelTask& t : tasks) any_q4 = any_q4 || task_is_q4(t);
+  const bool per_task = groups.empty();
+  const std::size_t num_groups = per_task ? tasks.size() : groups.size();
+
+  const auto is_q4 = [&](std::size_t g) {
+    return args.has_q4 && (per_task ? task_is_q4(tasks[g]) : groups[g].q4);
+  };
+
+  // Widest group per rung: q4 buffers join the working set only when this
+  // launch actually carries a 4-bit group.
+  std::size_t full_width = 0;
+  std::size_t q4_width = 0;
+  for (std::size_t g = 0; g < num_groups; ++g) {
+    const std::size_t width = per_task ? 1 : groups[g].tasks.size();
+    std::size_t& widest = is_q4(g) ? q4_width : full_width;
+    widest = std::max(widest, width);
   }
 
   // ---- WRAM working set (checked against the 64 KB budget) ----
-  std::vector<std::int16_t> query(dim);
-  std::vector<std::int16_t> centroid(dim);
-  std::vector<std::int32_t> residual(dim);
-  std::vector<std::uint32_t> lut(m * cb);              // ADC lookup table
-  std::vector<std::int16_t> cb_slice(cb * dsub);       // one subquantizer's book
-  std::vector<std::uint8_t> code_block(kMaxDmaBytes);  // streamed PQ codes
-  std::vector<std::uint8_t> id_buf(sizeof(std::uint32_t));
-  std::vector<std::uint32_t> lut4(any_q4 ? m * cb4 : 0);  // coarse sub-LUTs
-  std::vector<std::uint32_t> pair_lut(any_q4 ? pairs * 256 : 0);
-  const std::size_t sq_lut_bytes =
-      args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0;
-  const std::size_t wram_bytes =
-      query.size() * 2 + centroid.size() * 2 + residual.size() * 4 + lut.size() * 4 +
-      std::min(cb_slice.size() * 2, kMaxDmaBytes * 2) + code_block.size() +
-      sq_lut_bytes + args.k * sizeof(KernelHit) +
-      lut4.size() * 4 + pair_lut.size() * 4;
-  check_wram_budget(ctx.config(), wram_bytes);
+  check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
+  std::vector<std::int16_t> query = wram_buffer<kMove, std::int16_t>(dim);
+  std::vector<std::int16_t> centroid = wram_buffer<kMove, std::int16_t>(dim);
+  std::vector<std::int32_t> residual = wram_buffer<kMove, std::int32_t>(dim);
+  std::vector<std::uint32_t> lut =
+      wram_buffer<kMove, std::uint32_t>(std::max<std::size_t>(full_width, 1) * m * cb);
+  std::vector<std::int16_t> cb_slice = wram_buffer<kMove, std::int16_t>(cb * dsub);
+  std::vector<std::uint8_t> code_block = wram_buffer<kMove, std::uint8_t>(kMaxDmaBytes);
+  std::vector<std::uint32_t> lut4 =
+      wram_buffer<kMove, std::uint32_t>(q4_width > 0 ? m * cb4 : 0);
+  std::vector<std::uint32_t> pair_lut =
+      wram_buffer<kMove, std::uint32_t>(q4_width * pairs * 256);
+  std::vector<WramTopK> heaps;
 
-  // Task list itself is fetched from MRAM by the real kernel; charge its DMA.
+  // The task list arrives by DMA; a fused launch also ships the group
+  // descriptor table (the host plans, the kernel never re-derives it).
   ctx.set_phase(Phase::AUX);
   ctx.charge_cycles(tasks.size() * 4);  // task decode / loop control
   ctx.charge_mram_read(tasks.size() * sizeof(KernelTask));
+  if (!per_task) {
+    ctx.charge_cycles(groups.size() * 4);  // group decode / loop control
+    ctx.charge_mram_read(groups.size() * sizeof(KernelTask));
+  }
 
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const KernelTask& task = tasks[t];
-    const ShardRegion& shard = shards[task.shard_slot];
-    const bool q4 = args.has_q4 && task_is_q4(task);
+  for (std::size_t gi = 0; gi < num_groups; ++gi) {
+    // Member task indices; an unfused launch's group is its one task.
+    const std::uint32_t self = static_cast<std::uint32_t>(gi);
+    const std::span<const std::uint32_t> group =
+        per_task ? std::span<const std::uint32_t>(&self, 1)
+                 : std::span<const std::uint32_t>(groups[gi].tasks);
+    const ShardRegion& shard =
+        shards[per_task ? tasks[gi].shard_slot : groups[gi].shard_slot];
+    const bool q4 = is_q4(gi);
     const std::uint32_t shift = q4 ? shard.q4_shift : 0;
+    const std::size_t width = group.size();
 
-    // ---- RC: residual = query - centroid ----
+    // ---- RC + LC per member: the centroid is group-shared (read once);
+    // each member reads its own query, forms its residual, and builds its
+    // own LUT slab row. ----
     ctx.set_phase(Phase::RC);
-    ctx.mram_read_t<std::int16_t>(args.queries_offset + task_query_slot(task) * dim * 2,
-                                  std::span<std::int16_t>(query));
-    ctx.mram_read_t<std::int16_t>(args.centroids_offset + shard.cluster * dim * 2,
-                                  std::span<std::int16_t>(centroid));
-    for (std::size_t d = 0; d < dim; ++d) {
-      residual[d] = static_cast<std::int32_t>(query[d]) - centroid[d];
-    }
-    ctx.charge_adds(dim);
-    ctx.charge_wram(dim * 3);  // two loads + one store per component
-    if (q4) {
-      // Per-cluster residual scalar quantization: arithmetic shift, one
-      // cycle per component (billed even at shift 0 so the q4 charge
-      // stream is schedule-determined, not data-determined).
-      for (std::size_t d = 0; d < dim; ++d) residual[d] >>= shift;
-      ctx.charge_cycles(dim);
+    dma_read<kMove>(ctx, args.centroids_offset + shard.cluster * dim * 2,
+                    centroid.data(), dim * 2);
+    for (std::size_t g = 0; g < width; ++g) {
+      const KernelTask& task = tasks[group[g]];
+      ctx.set_phase(Phase::RC);
+      dma_read<kMove>(ctx, args.queries_offset + task_query_slot(task) * dim * 2,
+                      query.data(), dim * 2);
+      if constexpr (kMove) {
+        for (std::size_t d = 0; d < dim; ++d) {
+          residual[d] = static_cast<std::int32_t>(query[d]) - centroid[d];
+        }
+      }
+      ctx.charge_adds(dim);
+      ctx.charge_wram(dim * 3);  // two loads + one store per component
+      if (q4) {
+        // Per-cluster residual scalar quantization: arithmetic shift, one
+        // cycle per component (billed even at shift 0 so the q4 charge
+        // stream is schedule-determined, not data-determined).
+        if constexpr (kMove) {
+          for (std::size_t d = 0; d < dim; ++d) residual[d] >>= shift;
+        }
+        ctx.charge_cycles(dim);
+      }
+
+      ctx.set_phase(Phase::LC);
+      if (!q4) {
+        // ---- LC: lut[sub][e] = sum_d (residual - codeword)^2 ----
+        for (std::size_t sub = 0; sub < m; ++sub) {
+          mram_read_chunked<kMove>(ctx, args.codebooks_offset + sub * cb * dsub * 2,
+                                   cb_slice.data(), cb * dsub * 2);
+          if constexpr (kMove) {
+            const std::int32_t* res = residual.data() + sub * dsub;
+            std::uint32_t* lrow = lut.data() + (g * m + sub) * cb;
+            for (std::size_t e = 0; e < cb; ++e) {
+              const std::int16_t* cw = cb_slice.data() + e * dsub;
+              std::uint32_t acc = 0;
+              for (std::size_t d = 0; d < dsub; ++d) {
+                const std::int32_t diff = res[d] - cw[d];
+                const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+                acc += a * a;
+              }
+              lrow[e] = acc;
+            }
+          }
+          // Cost per dimension of each entry: one subtract, one square
+          // (square-table lookup, or multiply in the ablation), one
+          // accumulate — the paper's "M x 3 - 1 per subvector" accounting —
+          // plus one WRAM store per finished entry.
+          charge_square_stream(ctx, args.use_square_lut, cb * dsub);
+          ctx.charge_adds(cb * 2 * dsub);
+          ctx.charge_wram(cb);
+        }
+      } else {
+        // ---- LC (q4): coarse sub-LUTs, folded into per-pair byte LUTs ----
+        // Each subquantizer scores against its cb4-entry coarse codebook
+        // (shifted into the cluster's residual scale) into the shared lut4
+        // scratch; pairs of sub-LUTs then fold into this member's 256-entry
+        // pair-LUT slab row, so DC scores two subquantizers per byte lookup.
+        for (std::size_t sub = 0; sub < m; ++sub) {
+          mram_read_chunked<kMove>(ctx, args.codebooks_q4_offset + sub * cb4 * dsub * 2,
+                                   cb_slice.data(), cb4 * dsub * 2);
+          if constexpr (kMove) {
+            const std::int32_t* res = residual.data() + sub * dsub;
+            std::uint32_t* lrow = lut4.data() + sub * cb4;
+            for (std::size_t e = 0; e < cb4; ++e) {
+              const std::int16_t* cw = cb_slice.data() + e * dsub;
+              std::uint32_t acc = 0;
+              for (std::size_t d = 0; d < dsub; ++d) {
+                const std::int32_t diff = res[d] - (cw[d] >> shift);
+                const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+                acc += a * a;
+              }
+              lrow[e] = acc;
+            }
+          }
+          ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
+          charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
+          ctx.charge_adds(cb4 * 2 * dsub);
+          ctx.charge_wram(cb4);
+        }
+        for (std::size_t p = 0; p < pairs; ++p) {
+          if constexpr (kMove) {
+            std::uint32_t* prow = pair_lut.data() + (g * pairs + p) * 256;
+            const std::uint32_t* lo_row = lut4.data() + (2 * p) * cb4;
+            const std::uint32_t* hi_row =
+                2 * p + 1 < m ? lut4.data() + (2 * p + 1) * cb4 : nullptr;
+            for (std::size_t b = 0; b < 256; ++b) {
+              const std::size_t lo = b & 0xF;
+              const std::size_t hi = b >> 4;
+              std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
+              if (hi_row && hi < cb4) v += hi_row[hi];
+              prow[b] = v;
+            }
+          }
+          ctx.charge_adds(256);
+          ctx.charge_wram(256);
+        }
+      }
     }
 
-    ctx.set_phase(Phase::LC);
-    if (!q4) {
-      // ---- LC: lut[sub][e] = sum_d (residual - codeword)^2 ----
-      for (std::size_t sub = 0; sub < m; ++sub) {
-        mram_read_chunked(
-            ctx, args.codebooks_offset + sub * cb * dsub * 2,
-            {reinterpret_cast<std::uint8_t*>(cb_slice.data()), cb * dsub * 2});
-        const std::int32_t* res = residual.data() + sub * dsub;
-        std::uint32_t* lrow = lut.data() + sub * cb;
-        for (std::size_t e = 0; e < cb; ++e) {
-          const std::int16_t* cw = cb_slice.data() + e * dsub;
-          std::uint32_t acc = 0;
-          for (std::size_t d = 0; d < dsub; ++d) {
-            const std::int32_t diff = res[d] - cw[d];
-            const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-            acc += a * a;
-          }
-          lrow[e] = acc;
-        }
-        // Cost per dimension of each entry: one subtract, one square (square-
-        // table lookup, or multiply in the ablation), one accumulate — the
-        // paper's "M x 3 - 1 per subvector" accounting — plus one WRAM store
-        // per finished entry.
-        charge_square_stream(ctx, args.use_square_lut, cb * dsub);
-        ctx.charge_adds(cb * 2 * dsub);
-        ctx.charge_wram(cb);
-      }
-    } else {
-      // ---- LC (q4): coarse sub-LUTs, folded into per-pair byte LUTs ----
-      // Each subquantizer scores against its cb4-entry coarse codebook
-      // (shifted into the cluster's residual scale), then pairs of sub-LUTs
-      // fold into one 256-entry table so DC scores two subquantizers per
-      // byte lookup.
-      for (std::size_t sub = 0; sub < m; ++sub) {
-        mram_read_chunked(
-            ctx, args.codebooks_q4_offset + sub * cb4 * dsub * 2,
-            {reinterpret_cast<std::uint8_t*>(cb_slice.data()), cb4 * dsub * 2});
-        const std::int32_t* res = residual.data() + sub * dsub;
-        std::uint32_t* lrow = lut4.data() + sub * cb4;
-        for (std::size_t g = 0; g < cb4; ++g) {
-          const std::int16_t* cw = cb_slice.data() + g * dsub;
-          std::uint32_t acc = 0;
-          for (std::size_t d = 0; d < dsub; ++d) {
-            const std::int32_t diff = res[d] - (cw[d] >> shift);
-            const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-            acc += a * a;
-          }
-          lrow[g] = acc;
-        }
-        ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
-        charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
-        ctx.charge_adds(cb4 * 2 * dsub);
-        ctx.charge_wram(cb4);
-      }
-      for (std::size_t p = 0; p < pairs; ++p) {
-        std::uint32_t* prow = pair_lut.data() + p * 256;
-        const std::uint32_t* lo_row = lut4.data() + (2 * p) * cb4;
-        const std::uint32_t* hi_row =
-            2 * p + 1 < m ? lut4.data() + (2 * p + 1) * cb4 : nullptr;
-        for (std::size_t b = 0; b < 256; ++b) {
-          const std::size_t lo = b & 0xF;
-          const std::size_t hi = b >> 4;
-          std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
-          if (hi_row && hi < cb4) v += hi_row[hi];
-          prow[b] = v;
-        }
-        ctx.charge_adds(256);
-        ctx.charge_wram(256);
-      }
-    }
-
-    // ---- DC + TS: stream codes, accumulate LUT entries, keep top-k ----
-    // Block schedule comes from the shared for_each_code_block helper (whole
-    // codes per block; packed q4 codes fit twice as many), the same iterator
-    // the charge twin bills through.
+    // ---- DC: stream the shard's codes ONCE, scoring every member's LUT
+    // against each block before advancing. The block schedule is the shared
+    // for_each_code_block iterator (whole codes per block; packed q4 codes
+    // fit twice as many). Per-point compute (lookups + accumulate adds) is
+    // billed per member — only the DMA is amortized. ----
     const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
     const std::size_t codes_base = q4 ? shard.q4_codes_offset : shard.codes_offset;
-    WramTopK topk(std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1)));
+    const std::uint32_t kk =
+        std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
+    if constexpr (kMove) {
+      heaps.clear();
+      for (std::size_t g = 0; g < width; ++g) heaps.emplace_back(kk);
+    }
     const std::size_t codes_bytes = static_cast<std::size_t>(shard.size) * code_size;
     const std::size_t lookups = q4 ? pairs : m;
     std::uint32_t point = 0;
     for_each_code_block(codes_bytes, code_size, [&](std::size_t block_off,
                                                     std::size_t block_bytes) {
       ctx.set_phase(Phase::DC);
-      ctx.mram_read(codes_base + block_off, {code_block.data(), block_bytes});
+      dma_read<kMove>(ctx, codes_base + block_off, code_block.data(), block_bytes);
       const std::size_t points_in_block = block_bytes / code_size;
-
-      for (std::size_t i = 0; i < points_in_block; ++i, ++point) {
-        // Tombstoned entries are skipped before the top-k push: a dead point
-        // can never evict a live candidate, so the surviving (dist, id)
-        // stream equals a cold rebuild of the live set.
-        if (shard.dead && shard.dead[shard.begin + point]) continue;
-        const std::uint8_t* code = code_block.data() + i * code_size;
-        std::uint32_t dist = 0;
-        if (q4) {
-          for (std::size_t p = 0; p < pairs; ++p) {
-            dist += pair_lut[p * 256 + code[p]];
-          }
-        } else {
-          for (std::size_t sub = 0; sub < m; ++sub) {
-            std::uint32_t entry;
-            if (args.wide_codes) {
-              std::uint16_t v = 0;
-              std::memcpy(&v, code + sub * 2, 2);
-              entry = v;
+      if constexpr (kMove) {
+        for (std::size_t i = 0; i < points_in_block; ++i, ++point) {
+          // Tombstoned entries are skipped before the top-k push, one check
+          // for all members: a dead point can never evict a live candidate,
+          // so the surviving (dist, id) stream equals a cold rebuild of the
+          // live set.
+          if (shard.dead && shard.dead[shard.begin + point]) continue;
+          const std::uint8_t* code = code_block.data() + i * code_size;
+          for (std::size_t g = 0; g < width; ++g) {
+            std::uint32_t dist = 0;
+            if (q4) {
+              const std::uint32_t* pair_g = pair_lut.data() + g * pairs * 256;
+              for (std::size_t p = 0; p < pairs; ++p) {
+                dist += pair_g[p * 256 + code[p]];
+              }
             } else {
-              entry = code[sub];
+              const std::uint32_t* lut_g = lut.data() + g * m * cb;
+              for (std::size_t sub = 0; sub < m; ++sub) {
+                std::uint32_t entry;
+                if (args.wide_codes) {
+                  std::uint16_t v = 0;
+                  std::memcpy(&v, code + sub * 2, 2);
+                  entry = v;
+                } else {
+                  entry = code[sub];
+                }
+                dist += lut_g[sub * cb + entry];
+              }
             }
-            dist += lut[sub * cb + entry];
+            heaps[g].push(dist, point);
           }
         }
-        topk.push(dist, point);
       }
-      // Per point: one LUT load per (paired) lookup + the accumulate adds.
-      ctx.charge_lut_lookups(points_in_block * lookups);
-      ctx.charge_adds(points_in_block * (lookups - 1));
+      // Per point and member: one LUT load per (paired) lookup + the
+      // accumulate adds.
+      ctx.charge_lut_lookups(points_in_block * lookups * width);
+      ctx.charge_adds(points_in_block * (lookups - 1) * width);
     });
     if (shard.dead) {
-      // Liveness flags stream alongside the codes (one byte per point) and
-      // cost one compare each. Billed only when the cluster actually has
-      // tombstones, so read-only runs charge nothing extra.
+      // Liveness flags (host-side, one byte per point) stream alongside the
+      // codes and cost one compare each, once per GROUP since the skip is
+      // shared. Billed only when the cluster actually has tombstones, so
+      // read-only runs charge nothing extra.
       ctx.set_phase(Phase::DC);
-      charge_read_chunked(ctx, shard.size);
-      ctx.charge_cmps(shard.size);
-    }
-    // TS: amortized heap maintenance at this task's effective depth.
-    ctx.set_phase(Phase::TS);
-    ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, point,
-                                            std::min<std::uint32_t>(
-                                                args.k, std::max<std::uint32_t>(shard.size, 1))));
-
-    // Resolve winners' base-point ids from the shard's id table, then write
-    // the task result row to MRAM. Q4 tasks skip the per-winner id reads and
-    // emit LOCAL shard indices — the host rerank resolves ids while it
-    // re-scores the candidates exactly.
-    ctx.set_phase(Phase::AUX);
-    std::vector<KernelHit> hits = topk.sorted();
-    if (!q4) {
-      for (KernelHit& h : hits) {
-        ctx.mram_read(shard.ids_offset + h.id * sizeof(std::uint32_t),
-                      {id_buf.data(), sizeof(std::uint32_t)});
-        std::uint32_t global_id = 0;
-        std::memcpy(&global_id, id_buf.data(), sizeof(global_id));
-        h.id = global_id;
-      }
-    }
-    hits.resize(args.k, KernelHit{});  // sentinel-pad short shards
-    ctx.mram_write(args.output_offset + t * args.k * sizeof(KernelHit),
-                   {reinterpret_cast<const std::uint8_t*>(hits.data()),
-                    args.k * sizeof(KernelHit)});
-  }
-}
-
-void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                          std::span<const ShardRegion> shards,
-                          std::span<const KernelTask> tasks) {
-  const std::size_t dim = args.dim;
-  const std::size_t m = args.m;
-  const std::size_t cb = args.cb;
-  const std::size_t dsub = dim / m;
-  const DpuInstructionCosts& c = ctx.config().costs;
-
-  // Quantization-ladder geometry (same launch-level condition as the
-  // functional kernel: q4 buffers count only when a q4 task is present).
-  const std::size_t cb4 = args.cb4;
-  const std::size_t pairs = args.has_q4 ? (m + 1) / 2 : 0;
-  bool any_q4 = false;
-  if (args.has_q4) {
-    for (const KernelTask& t : tasks) any_q4 = any_q4 || task_is_q4(t);
-  }
-
-  // Same WRAM working-set accounting as run_search_kernel.
-  const std::size_t sq_lut_bytes =
-      args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0;
-  const std::size_t wram_bytes =
-      dim * 2 + dim * 2 + dim * 4 + m * cb * 4 +
-      std::min(cb * dsub * 2, kMaxDmaBytes * 2) + kMaxDmaBytes + sq_lut_bytes +
-      args.k * sizeof(KernelHit) +
-      (any_q4 ? m * cb4 * 4 + pairs * 256 * 4 : 0);
-  check_wram_budget(ctx.config(), wram_bytes);
-
-  ctx.set_phase(Phase::AUX);
-  ctx.charge_cycles(tasks.size() * 4);  // task decode / loop control
-  ctx.charge_mram_read(tasks.size() * sizeof(KernelTask));
-
-  for (const KernelTask& task : tasks) {
-    const ShardRegion& shard = shards[task.shard_slot];
-    const std::uint64_t points = shard.size;
-    const bool q4 = args.has_q4 && task_is_q4(task);
-
-    // RC: query + centroid reads, residual arithmetic (+ the q4 rung's
-    // per-component residual shift).
-    ctx.set_phase(Phase::RC);
-    ctx.charge_mram_read(dim * 2);
-    ctx.charge_mram_read(dim * 2);
-    ctx.charge_adds(dim);
-    ctx.charge_wram(dim * 3);
-    if (q4) ctx.charge_cycles(dim);
-
-    // LC: per subquantizer, one chunked codebook-slice fetch plus the
-    // per-entry square/accumulate/store stream (same shared policy helpers
-    // as run_search_kernel — see the header note). The q4 rung fetches the
-    // cb4-entry coarse books, shifts each codeword component, then folds
-    // sub-LUT pairs into 256-entry byte LUTs.
-    ctx.set_phase(Phase::LC);
-    if (!q4) {
-      for (std::size_t sub = 0; sub < m; ++sub) {
-        charge_read_chunked(ctx, cb * dsub * 2);
-        charge_square_stream(ctx, args.use_square_lut, cb * dsub);
-        ctx.charge_adds(cb * 2 * dsub);
-        ctx.charge_wram(cb);
-      }
-    } else {
-      for (std::size_t sub = 0; sub < m; ++sub) {
-        charge_read_chunked(ctx, cb4 * dsub * 2);
-        ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
-        charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
-        ctx.charge_adds(cb4 * 2 * dsub);
-        ctx.charge_wram(cb4);
-      }
-      for (std::size_t p = 0; p < pairs; ++p) {
-        ctx.charge_adds(256);
-        ctx.charge_wram(256);
-      }
-    }
-
-    // DC: stream whole codes per block, ADC-sum each point. The q4 rung
-    // streams the packed codes — half the bytes, twice the codes per DMA —
-    // and pays one paired lookup per code byte. The block schedule is the
-    // shared for_each_code_block iterator, so transfer count and sizes are
-    // the functional kernel's by construction.
-    ctx.set_phase(Phase::DC);
-    const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
-    const std::size_t codes_bytes = static_cast<std::size_t>(points) * code_size;
-    const std::size_t lookups = q4 ? pairs : m;
-    for_each_code_block(codes_bytes, code_size, [&](std::size_t,
-                                                    std::size_t block_bytes) {
-      ctx.charge_mram_read(block_bytes);
-      const std::size_t points_in_block = block_bytes / code_size;
-      ctx.charge_lut_lookups(points_in_block * lookups);
-      ctx.charge_adds(points_in_block * (lookups - 1));
-    });
-    if (shard.dead) {
-      // Same liveness flag-stream DMA + per-point compare as the functional
-      // kernel bills under tombstones.
-      charge_read_chunked(ctx, shard.size);
+      mram_read_chunked<false>(ctx, 0, nullptr, shard.size);
       ctx.charge_cmps(shard.size);
     }
 
-    // TS: amortized heap maintenance at this task's effective depth.
-    ctx.set_phase(Phase::TS);
-    const std::uint32_t kk =
-        std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
-    ctx.charge_cycles(amortized_topk_cycles(c, points, kk));
+    // ---- TS + AUX per member, each at its task's ORIGINAL output row ----
+    // Winners' base-point ids are resolved from the shard's id table (one
+    // 4-byte read each; only live points can win), then the sentinel-padded
+    // row is written to MRAM. Q4 rows skip the id reads and carry LOCAL
+    // shard indices — the host rerank resolves ids while it re-scores the
+    // candidates exactly.
+    const std::size_t winners = std::min<std::size_t>(args.k, shard_live_points(shard));
+    for (std::size_t g = 0; g < width; ++g) {
+      ctx.set_phase(Phase::TS);
+      ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, shard.size, kk));
 
-    // AUX: resolve winners' ids (one 4-byte read each — skipped on the q4
-    // rung, which emits local indices for the host rerank), write the
-    // padded row. Only live points can win, so the winner count follows
-    // the live total.
-    ctx.set_phase(Phase::AUX);
-    if (!q4) {
-      const std::uint64_t hits = std::min<std::uint64_t>(args.k, shard_live_points(shard));
-      for (std::uint64_t h = 0; h < hits; ++h) {
-        ctx.charge_mram_read(sizeof(std::uint32_t));
+      ctx.set_phase(Phase::AUX);
+      if constexpr (kMove) {
+        std::vector<KernelHit> hits = heaps[g].sorted();
+        assert(hits.size() == winners);
+        if (!q4) {
+          for (KernelHit& h : hits) {
+            ctx.mram_read_t<std::uint32_t>(shard.ids_offset + h.id * sizeof(std::uint32_t),
+                                           {&h.id, 1});
+          }
+        }
+        hits.resize(args.k, KernelHit{});  // sentinel-pad short shards
+        ctx.mram_write(args.output_offset + group[g] * args.k * sizeof(KernelHit),
+                       {reinterpret_cast<const std::uint8_t*>(hits.data()),
+                        args.k * sizeof(KernelHit)});
+      } else {
+        if (!q4) {
+          for (std::size_t h = 0; h < winners; ++h) {
+            ctx.charge_mram_read(sizeof(std::uint32_t));
+          }
+        }
+        ctx.charge_mram_write(args.k * sizeof(KernelHit));
       }
     }
-    ctx.charge_mram_write(args.k * sizeof(KernelHit));
   }
 }
+
+}  // namespace
 
 std::vector<FusedTaskGroup> plan_task_fusion(std::span<const KernelTask> tasks,
                                              std::size_t fuse_width) {
@@ -521,12 +489,11 @@ std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
   const std::size_t pairs = (m + 1) / 2;
   const std::size_t sq_lut_bytes =
       args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0;
-  // One LUT slab row per full-rung member (the slab keeps the per-task
-  // kernel's single row even in an all-q4 launch, mirroring its accounting),
-  // one shared lut4 scratch plus a pair-LUT row per q4 member, and one
-  // k-entry heap per member of the widest group. Everything else — query /
-  // centroid / residual scratch, one codebook slice, ONE code block, the
-  // square table — is group-shared.
+  // One LUT slab row per full-rung member (at least one, even in an all-q4
+  // launch), one shared lut4 scratch plus a pair-LUT row per q4 member, and
+  // one k-entry heap per member of the widest group. Everything else —
+  // query / centroid / residual scratch, one codebook slice, ONE code block,
+  // the square table — is group-shared.
   const std::size_t heap_width =
       std::max<std::size_t>(std::max(full_width, q4_width), 1);
   std::size_t bytes = dim * 2 + dim * 2 + dim * 4 +
@@ -537,346 +504,26 @@ std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
   return bytes;
 }
 
-void run_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                             std::span<const ShardRegion> shards,
-                             std::span<const KernelTask> tasks,
-                             std::span<const FusedTaskGroup> groups) {
-  const std::size_t dim = args.dim;
-  const std::size_t m = args.m;
-  const std::size_t cb = args.cb;
-  const std::size_t dsub = dim / m;
-  const std::size_t cb4 = args.cb4;
-  const std::size_t pairs = args.has_q4 ? (m + 1) / 2 : 0;
-
-  std::size_t full_width = 0;
-  std::size_t q4_width = 0;
-  for (const FusedTaskGroup& g : groups) {
-    if (g.q4 && args.has_q4) q4_width = std::max(q4_width, g.tasks.size());
-    else full_width = std::max(full_width, g.tasks.size());
-  }
-
-  // ---- WRAM working set (checked against the 64 KB budget) ----
-  check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
-  std::vector<std::int16_t> query(dim);
-  std::vector<std::int16_t> centroid(dim);
-  std::vector<std::int32_t> residual(dim);
-  std::vector<std::uint32_t> lut(std::max<std::size_t>(full_width, 1) * m * cb);
-  std::vector<std::int16_t> cb_slice(cb * dsub);
-  std::vector<std::uint8_t> code_block(kMaxDmaBytes);
-  std::vector<std::uint8_t> id_buf(sizeof(std::uint32_t));
-  std::vector<std::uint32_t> lut4(q4_width > 0 ? m * cb4 : 0);
-  std::vector<std::uint32_t> pair_lut(q4_width > 0 ? q4_width * pairs * 256 : 0);
-
-  // Task list AND the fused-group descriptor table both arrive by DMA (the
-  // host ships the plan; the kernel never re-derives it).
-  ctx.set_phase(Phase::AUX);
-  ctx.charge_cycles(tasks.size() * 4);  // task decode / loop control
-  ctx.charge_mram_read(tasks.size() * sizeof(KernelTask));
-  ctx.charge_cycles(groups.size() * 4);  // group decode / loop control
-  ctx.charge_mram_read(groups.size() * sizeof(KernelTask));
-
-  for (const FusedTaskGroup& group : groups) {
-    const ShardRegion& shard = shards[group.shard_slot];
-    const bool q4 = args.has_q4 && group.q4;
-    const std::uint32_t shift = q4 ? shard.q4_shift : 0;
-    const std::size_t width = group.tasks.size();
-
-    // ---- RC + LC per member: the centroid is group-shared (read once);
-    // each member reads its own query, forms its residual, and builds its
-    // own LUT slab row with exactly the per-task kernel's charges. ----
-    ctx.set_phase(Phase::RC);
-    ctx.mram_read_t<std::int16_t>(args.centroids_offset + shard.cluster * dim * 2,
-                                  std::span<std::int16_t>(centroid));
-    for (std::size_t g = 0; g < width; ++g) {
-      const KernelTask& task = tasks[group.tasks[g]];
-      ctx.set_phase(Phase::RC);
-      ctx.mram_read_t<std::int16_t>(
-          args.queries_offset + task_query_slot(task) * dim * 2,
-          std::span<std::int16_t>(query));
-      for (std::size_t d = 0; d < dim; ++d) {
-        residual[d] = static_cast<std::int32_t>(query[d]) - centroid[d];
-      }
-      ctx.charge_adds(dim);
-      ctx.charge_wram(dim * 3);
-      if (q4) {
-        for (std::size_t d = 0; d < dim; ++d) residual[d] >>= shift;
-        ctx.charge_cycles(dim);
-      }
-
-      ctx.set_phase(Phase::LC);
-      if (!q4) {
-        std::uint32_t* lut_g = lut.data() + g * m * cb;
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          mram_read_chunked(
-              ctx, args.codebooks_offset + sub * cb * dsub * 2,
-              {reinterpret_cast<std::uint8_t*>(cb_slice.data()), cb * dsub * 2});
-          const std::int32_t* res = residual.data() + sub * dsub;
-          std::uint32_t* lrow = lut_g + sub * cb;
-          for (std::size_t e = 0; e < cb; ++e) {
-            const std::int16_t* cw = cb_slice.data() + e * dsub;
-            std::uint32_t acc = 0;
-            for (std::size_t d = 0; d < dsub; ++d) {
-              const std::int32_t diff = res[d] - cw[d];
-              const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-              acc += a * a;
-            }
-            lrow[e] = acc;
-          }
-          charge_square_stream(ctx, args.use_square_lut, cb * dsub);
-          ctx.charge_adds(cb * 2 * dsub);
-          ctx.charge_wram(cb);
-        }
-      } else {
-        // Coarse sub-LUTs into the shared lut4 scratch, folded into this
-        // member's 256-entry pair-LUT slab row.
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          mram_read_chunked(
-              ctx, args.codebooks_q4_offset + sub * cb4 * dsub * 2,
-              {reinterpret_cast<std::uint8_t*>(cb_slice.data()), cb4 * dsub * 2});
-          const std::int32_t* res = residual.data() + sub * dsub;
-          std::uint32_t* lrow = lut4.data() + sub * cb4;
-          for (std::size_t e = 0; e < cb4; ++e) {
-            const std::int16_t* cw = cb_slice.data() + e * dsub;
-            std::uint32_t acc = 0;
-            for (std::size_t d = 0; d < dsub; ++d) {
-              const std::int32_t diff = res[d] - (cw[d] >> shift);
-              const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-              acc += a * a;
-            }
-            lrow[e] = acc;
-          }
-          ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
-          charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
-          ctx.charge_adds(cb4 * 2 * dsub);
-          ctx.charge_wram(cb4);
-        }
-        std::uint32_t* pair_g = pair_lut.data() + g * pairs * 256;
-        for (std::size_t p = 0; p < pairs; ++p) {
-          std::uint32_t* prow = pair_g + p * 256;
-          const std::uint32_t* lo_row = lut4.data() + (2 * p) * cb4;
-          const std::uint32_t* hi_row =
-              2 * p + 1 < m ? lut4.data() + (2 * p + 1) * cb4 : nullptr;
-          for (std::size_t b = 0; b < 256; ++b) {
-            const std::size_t lo = b & 0xF;
-            const std::size_t hi = b >> 4;
-            std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
-            if (hi_row && hi < cb4) v += hi_row[hi];
-            prow[b] = v;
-          }
-          ctx.charge_adds(256);
-          ctx.charge_wram(256);
-        }
-      }
-    }
-
-    // ---- DC: stream the shard's codes ONCE, scoring every member's LUT
-    // against each block before advancing. Per-point compute (lookups +
-    // accumulate adds) is billed per member — only the DMA is amortized. ----
-    const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
-    const std::size_t codes_base = q4 ? shard.q4_codes_offset : shard.codes_offset;
-    const std::uint32_t kk =
-        std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
-    std::vector<WramTopK> heaps;
-    heaps.reserve(width);
-    for (std::size_t g = 0; g < width; ++g) heaps.emplace_back(kk);
-    const std::size_t codes_bytes = static_cast<std::size_t>(shard.size) * code_size;
-    const std::size_t lookups = q4 ? pairs : m;
-    std::uint32_t point = 0;
-    for_each_code_block(codes_bytes, code_size, [&](std::size_t block_off,
-                                                    std::size_t block_bytes) {
-      ctx.set_phase(Phase::DC);
-      ctx.mram_read(codes_base + block_off, {code_block.data(), block_bytes});
-      const std::size_t points_in_block = block_bytes / code_size;
-      for (std::size_t i = 0; i < points_in_block; ++i, ++point) {
-        // The liveness skip is group-shared: one check covers all members.
-        if (shard.dead && shard.dead[shard.begin + point]) continue;
-        const std::uint8_t* code = code_block.data() + i * code_size;
-        for (std::size_t g = 0; g < width; ++g) {
-          std::uint32_t dist = 0;
-          if (q4) {
-            const std::uint32_t* pair_g = pair_lut.data() + g * pairs * 256;
-            for (std::size_t p = 0; p < pairs; ++p) {
-              dist += pair_g[p * 256 + code[p]];
-            }
-          } else {
-            const std::uint32_t* lut_g = lut.data() + g * m * cb;
-            for (std::size_t sub = 0; sub < m; ++sub) {
-              std::uint32_t entry;
-              if (args.wide_codes) {
-                std::uint16_t v = 0;
-                std::memcpy(&v, code + sub * 2, 2);
-                entry = v;
-              } else {
-                entry = code[sub];
-              }
-              dist += lut_g[sub * cb + entry];
-            }
-          }
-          heaps[g].push(dist, point);
-        }
-      }
-      ctx.charge_lut_lookups(points_in_block * lookups * width);
-      ctx.charge_adds(points_in_block * (lookups - 1) * width);
-    });
-    if (shard.dead) {
-      // Flags stream once per GROUP (the skip decision is shared), so fusion
-      // amortizes the tombstone stream and its per-point compare too.
-      ctx.set_phase(Phase::DC);
-      charge_read_chunked(ctx, shard.size);
-      ctx.charge_cmps(shard.size);
-    }
-
-    // ---- TS + AUX per member, each at its task's ORIGINAL output row ----
-    for (std::size_t g = 0; g < width; ++g) {
-      ctx.set_phase(Phase::TS);
-      ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, point, kk));
-
-      ctx.set_phase(Phase::AUX);
-      std::vector<KernelHit> hits = heaps[g].sorted();
-      if (!q4) {
-        for (KernelHit& h : hits) {
-          ctx.mram_read(shard.ids_offset + h.id * sizeof(std::uint32_t),
-                        {id_buf.data(), sizeof(std::uint32_t)});
-          std::uint32_t global_id = 0;
-          std::memcpy(&global_id, id_buf.data(), sizeof(global_id));
-          h.id = global_id;
-        }
-      }
-      hits.resize(args.k, KernelHit{});  // sentinel-pad short shards
-      ctx.mram_write(
-          args.output_offset + group.tasks[g] * args.k * sizeof(KernelHit),
-          {reinterpret_cast<const std::uint8_t*>(hits.data()),
-           args.k * sizeof(KernelHit)});
-    }
-  }
+void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
+                       std::span<const ShardRegion> shards,
+                       std::span<const KernelTask> tasks,
+                       std::span<const FusedTaskGroup> groups) {
+  search_kernel<true>(ctx, args, shards, tasks, groups);
 }
 
-void charge_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                                std::span<const ShardRegion> shards,
-                                std::span<const KernelTask> tasks,
-                                std::span<const FusedTaskGroup> groups) {
-  const std::size_t dim = args.dim;
-  const std::size_t m = args.m;
-  const std::size_t cb = args.cb;
-  const std::size_t dsub = dim / m;
-  const std::size_t cb4 = args.cb4;
-  const std::size_t pairs = args.has_q4 ? (m + 1) / 2 : 0;
-  const DpuInstructionCosts& c = ctx.config().costs;
+void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
+                          std::span<const ShardRegion> shards,
+                          std::span<const KernelTask> tasks,
+                          std::span<const FusedTaskGroup> groups) {
+  search_kernel<false>(ctx, args, shards, tasks, groups);
+}
 
-  std::size_t full_width = 0;
-  std::size_t q4_width = 0;
-  for (const FusedTaskGroup& g : groups) {
-    if (g.q4 && args.has_q4) q4_width = std::max(q4_width, g.tasks.size());
-    else full_width = std::max(full_width, g.tasks.size());
-  }
-
-  // Same WRAM working-set accounting as run_fused_search_kernel (the shared
-  // helper IS the accounting on both sides).
-  check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
-
-  ctx.set_phase(Phase::AUX);
-  ctx.charge_cycles(tasks.size() * 4);  // task decode / loop control
-  ctx.charge_mram_read(tasks.size() * sizeof(KernelTask));
-  ctx.charge_cycles(groups.size() * 4);  // group decode / loop control
-  ctx.charge_mram_read(groups.size() * sizeof(KernelTask));
-
-  for (const FusedTaskGroup& group : groups) {
-    const ShardRegion& shard = shards[group.shard_slot];
-    const bool q4 = args.has_q4 && group.q4;
-    const std::size_t width = group.tasks.size();
-    const std::uint64_t points = shard.size;
-
-    // RC + LC per member; the centroid read is group-shared.
-    ctx.set_phase(Phase::RC);
-    ctx.charge_mram_read(dim * 2);  // centroid, once per group
-    for (std::size_t g = 0; g < width; ++g) {
-      ctx.set_phase(Phase::RC);
-      ctx.charge_mram_read(dim * 2);  // member query
-      ctx.charge_adds(dim);
-      ctx.charge_wram(dim * 3);
-      if (q4) ctx.charge_cycles(dim);
-
-      ctx.set_phase(Phase::LC);
-      if (!q4) {
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          charge_read_chunked(ctx, cb * dsub * 2);
-          charge_square_stream(ctx, args.use_square_lut, cb * dsub);
-          ctx.charge_adds(cb * 2 * dsub);
-          ctx.charge_wram(cb);
-        }
-      } else {
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          charge_read_chunked(ctx, cb4 * dsub * 2);
-          ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
-          charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
-          ctx.charge_adds(cb4 * 2 * dsub);
-          ctx.charge_wram(cb4);
-        }
-        for (std::size_t p = 0; p < pairs; ++p) {
-          ctx.charge_adds(256);
-          ctx.charge_wram(256);
-        }
-      }
-    }
-
-    // DC: ONE code stream per group; per-point compute billed per member.
-    ctx.set_phase(Phase::DC);
-    const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
-    const std::size_t codes_bytes = static_cast<std::size_t>(points) * code_size;
-    const std::size_t lookups = q4 ? pairs : m;
-    for_each_code_block(codes_bytes, code_size, [&](std::size_t,
-                                                    std::size_t block_bytes) {
-      ctx.charge_mram_read(block_bytes);
-      const std::size_t points_in_block = block_bytes / code_size;
-      ctx.charge_lut_lookups(points_in_block * lookups * width);
-      ctx.charge_adds(points_in_block * (lookups - 1) * width);
-    });
-    if (shard.dead) {
-      charge_read_chunked(ctx, shard.size);
-      ctx.charge_cmps(shard.size);
-    }
-
-    // TS + AUX per member.
-    const std::uint32_t kk =
-        std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
-    for (std::size_t g = 0; g < width; ++g) {
-      ctx.set_phase(Phase::TS);
-      ctx.charge_cycles(amortized_topk_cycles(c, points, kk));
-
-      ctx.set_phase(Phase::AUX);
-      if (!q4) {
-        const std::uint64_t hits =
-            std::min<std::uint64_t>(args.k, shard_live_points(shard));
-        for (std::uint64_t h = 0; h < hits; ++h) {
-          ctx.charge_mram_read(sizeof(std::uint32_t));
-        }
-      }
-      ctx.charge_mram_write(args.k * sizeof(KernelHit));
-    }
-  }
+void run_cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
+  cl_kernel<true>(ctx, args);
 }
 
 void charge_cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
-  const std::size_t dim = args.dim;
-  if (args.num_queries == 0 || args.centroid_count == 0) return;
-  const DpuInstructionCosts& c = ctx.config().costs;
-
-  const std::size_t wram =
-      dim * 2 + dim * 2 + args.nprobe * sizeof(KernelHit) +
-      (args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0);
-  check_wram_budget(ctx.config(), wram);
-
-  ctx.set_phase(Phase::CL);
-  const std::uint64_t nq = args.num_queries;
-  const std::uint64_t cnt = args.centroid_count;
-  for (std::uint64_t q = 0; q < nq; ++q) {
-    ctx.charge_mram_read(dim * 2);
-    for (std::uint64_t i = 0; i < cnt; ++i) ctx.charge_mram_read(dim * 2);
-    charge_square_stream(ctx, args.use_square_lut, cnt * dim);
-    ctx.charge_adds(cnt * 2 * dim);
-    ctx.charge_cycles(amortized_topk_cycles(c, cnt, args.nprobe));
-    ctx.charge_mram_write(args.nprobe * sizeof(KernelHit));
-  }
+  cl_kernel<false>(ctx, args);
 }
 
 }  // namespace drim

@@ -1,11 +1,30 @@
 #pragma once
-// The DPU-side search kernel of DRIM-ANN. One launch processes a DPU's task
-// list for the batch; each task runs the cluster-searching pipeline on one
-// shard: RC (residual), LC (ADC LUT build, multiplier-less via the square
-// LUT), DC (code scan), TS (top-k). The kernel only touches MRAM through the
-// DpuContext DMA API (2 KB max per transfer, as on real UPMEM) and keeps its
-// working set within the 64 KB WRAM budget; every operation charges cycles
-// into the per-phase counters that drive batch timing and Fig. 8.
+// The DPU-side kernels of DRIM-ANN. One search launch processes a DPU's
+// task list for the batch; each task runs the cluster-searching pipeline on
+// one shard: RC (residual), LC (ADC LUT build, multiplier-less via the
+// square LUT), DC (code scan), TS (top-k). The kernel only touches MRAM
+// through the DpuContext DMA API (2 KB max per transfer, as on real UPMEM)
+// and keeps its working set within the 64 KB WRAM budget; every operation
+// charges cycles into the per-phase counters that drive batch timing and
+// Fig. 8.
+//
+// Each kernel has ONE body in kernels.cpp, templated on a compile-time
+// "move bytes" policy and instantiated twice: run_* (SimPimPlatform) moves
+// bytes and runs the arithmetic; charge_* (AnalyticPimPlatform) bills the
+// same DMA transfers and instruction tallies without reading a byte of MRAM,
+// with WRAM buffers, arithmetic and heap pushes compiled out. Instruction
+// cycles follow a deterministic policy shared by both instantiations:
+//   - LC squaring bills one square-LUT lookup per dimension (the broadcast
+//     table is sized to cover the full operand range), or one multiply per
+//     dimension in the Fig. 10a ablation with the table off;
+//   - TS heap maintenance bills the Eq. 15 amortized shape (one threshold
+//     compare per point plus 0.25 * log2(k) sift compares/WRAM swaps),
+//     not the data-dependent accept sequence.
+// As a result every per-phase counter — instruction cycles, DMA cycles,
+// MRAM bytes, multiply count — is EXACTLY equal between the functional and
+// analytic platforms for the same schedule, which is what lets the tracing
+// layer (src/obs) treat either platform's counters as ground truth. Pinned
+// by tests/test_platforms.cpp and tests/test_kernel_paths.cpp.
 
 #include <algorithm>
 #include <cstdint>
@@ -21,10 +40,7 @@ inline constexpr std::size_t kMaxDmaBytes = 2048;
 
 /// The DC phase's MRAM transfer schedule over a shard's packed codes: whole
 /// codes per <= kMaxDmaBytes block. Calls fn(block_offset, block_bytes) for
-/// every block, in stream order. This is the SINGLE source of truth for the
-/// code-block loop — the functional kernels, their analytic charge twins,
-/// and the fused variants all iterate through it, so the two sides can never
-/// drift apart in transfer count or sizes (pinned by tests/test_kernels.cpp).
+/// every block, in stream order: the search kernel's code-block loop.
 template <typename Fn>
 inline void for_each_code_block(std::size_t codes_bytes, std::size_t code_size,
                                 Fn&& fn) {
@@ -44,9 +60,8 @@ inline void for_each_code_block(std::size_t codes_bytes, std::size_t code_size,
 /// cluster has no tombstones — the common case, in which the kernel bills
 /// zero liveness cost, keeping read-only runs bit-identical in both results
 /// and cycle counters. With tombstones, dead entries are skipped BEFORE the
-/// bounded top-k so they can never evict live candidates, and both the
-/// functional kernel and its analytic twin bill the same flag-stream DMA and
-/// per-point compare.
+/// bounded top-k so they can never evict live candidates, and both kernel
+/// instantiations bill the same flag-stream DMA and per-point compare.
 struct ShardRegion {
   std::size_t codes_offset = 0;
   std::size_t ids_offset = 0;
@@ -133,24 +148,16 @@ struct SearchKernelArgs {
   std::size_t codebooks_q4_offset = 0;  ///< int16[m * cb4 * dsub]
 };
 
-/// Execute the search kernel for `tasks` against the shard catalog. Results
-/// for task t land at output_offset + t * k * sizeof(KernelHit), sorted
-/// ascending, padded with sentinel (0xFFFFFFFF) entries when a shard has
-/// fewer than k points.
-void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                       std::span<const ShardRegion> shards,
-                       std::span<const KernelTask> tasks);
-
 // ---- cluster-major task fusion (DESIGN.md §16) ----
 // Under Zipf-skewed batches the hottest clusters are probed by many queries
-// of the same launch, and the per-task kernel re-streams the cluster's codes
+// of the same launch, and an unfused launch re-streams the cluster's codes
 // from MRAM once per probing query. Fusion groups a DPU's tasks by
-// (shard, rung) into groups of up to fuse_width members; the fused kernel
-// builds every member's LUT, then streams the shard's codes ONCE, scoring
-// each code block against all member LUTs before advancing. Each member
-// keeps its own LUT, its own bounded top-k, and its own k-hit output row at
-// the task's original index, so results are bit-identical to the per-task
-// kernel at any width — only the DMA charges shrink.
+// (shard, rung) into groups of up to fuse_width members; the kernel builds
+// every member's LUT, then streams the shard's codes ONCE, scoring each code
+// block against all member LUTs before advancing. Each member keeps its own
+// LUT, its own bounded top-k, and its own k-hit output row at the task's
+// original index, so results are bit-identical to the unfused launch at any
+// width — only the DMA charges shrink.
 
 /// One fused group: tasks (indices into the launch's task list) that scan
 /// the same shard on the same precision rung.
@@ -168,24 +175,36 @@ struct FusedTaskGroup {
 std::vector<FusedTaskGroup> plan_task_fusion(std::span<const KernelTask> tasks,
                                              std::size_t fuse_width);
 
-/// WRAM working-set bytes of a fused search launch whose widest full-rung
-/// group has `full_width` members and widest q4 group `q4_width` (0 = no
-/// group on that rung): shared scratch + one LUT slab row per full member,
-/// one pair-LUT row per q4 member, one code block, and one k-entry heap per
-/// member of the widest group. At (1, 0) this equals the per-task kernel's
-/// accounting exactly. Shared by both fused kernels and the engine's
-/// up-front fuse_width feasibility check so they can never disagree.
+/// WRAM working-set bytes of a search launch whose widest full-rung group
+/// has `full_width` members and widest q4 group `q4_width` (0 = no group on
+/// that rung; an unfused launch is width 1 on each rung it carries): shared
+/// scratch + one LUT slab row per full member, one pair-LUT row per q4
+/// member, one code block, and one k-entry heap per member of the widest
+/// group. The one accounting: the kernel checks it at launch and the engine
+/// checks it up front (fuse_width and WRAM feasibility).
 std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
                                     std::size_t full_width, std::size_t q4_width);
 
-/// Execute the fused search kernel: `groups` must partition [0, tasks.size())
-/// (as produced by plan_task_fusion over the same task list). Results for
-/// task t still land at output_offset + t * k * sizeof(KernelHit), so the
-/// caller's collect/merge path is unchanged from run_search_kernel.
-void run_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                             std::span<const ShardRegion> shards,
-                             std::span<const KernelTask> tasks,
-                             std::span<const FusedTaskGroup> groups);
+/// Execute the search kernel for `tasks` against the shard catalog. Results
+/// for task t land at output_offset + t * k * sizeof(KernelHit), sorted
+/// ascending, padded with sentinel (0xFFFFFFFF) entries when a shard has
+/// fewer than k points. `groups`, when non-empty, must partition
+/// [0, tasks.size()) (as produced by plan_task_fusion over the same task
+/// list) and is shipped to the DPU as a group-descriptor table; empty means
+/// one group per task in task order, with no descriptor table shipped or
+/// charged.
+void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
+                       std::span<const ShardRegion> shards,
+                       std::span<const KernelTask> tasks,
+                       std::span<const FusedTaskGroup> groups = {});
+
+/// Charge-only instantiation of the search kernel (AnalyticPimPlatform):
+/// same WRAM budget check, DMA schedule and instruction tallies as
+/// run_search_kernel, without touching MRAM or computing a result.
+void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
+                          std::span<const ShardRegion> shards,
+                          std::span<const KernelTask> tasks,
+                          std::span<const FusedTaskGroup> groups = {});
 
 /// Arguments for the optional cluster-locating kernel (CL on the PIM instead
 /// of the host — the placement alternative of Section III-B). Each DPU owns
@@ -213,36 +232,7 @@ struct ClKernelArgs {
 /// query. Output rows are sentinel-padded like the search kernel's.
 void run_cl_kernel(DpuContext& ctx, const ClKernelArgs& args);
 
-// ---- analytic twins (AnalyticPimPlatform launches) ----
-// Charge exactly the schedule/layout-determined costs of the functional
-// kernels — same WRAM budget check, same DMA transfer sizes and chunking,
-// same instruction tallies — without reading a byte of MRAM. Both sides
-// bill instructions through the same deterministic policy helpers:
-//   - LC squaring bills one square-LUT lookup per dimension (the broadcast
-//     table is sized to cover the full operand range), or one multiply per
-//     dimension in the Fig. 10a ablation with the table off;
-//   - TS heap maintenance bills the Eq. 15 amortized shape (one threshold
-//     compare per point plus 0.25 * log2(k) sift compares/WRAM swaps),
-//     not the data-dependent accept sequence.
-// As a result every per-phase counter — instruction cycles, DMA cycles,
-// MRAM bytes, multiply count — is EXACTLY equal between the functional and
-// analytic platforms for the same schedule, which is what lets the tracing
-// layer (src/obs) treat either platform's counters as ground truth. Pinned
-// by tests/test_platforms.cpp.
-
-/// Analytic twin of run_search_kernel.
-void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                          std::span<const ShardRegion> shards,
-                          std::span<const KernelTask> tasks);
-
-/// Analytic twin of run_fused_search_kernel: same WRAM budget check, same
-/// fused DMA schedule (one code stream per group), same instruction tallies.
-void charge_fused_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
-                                std::span<const ShardRegion> shards,
-                                std::span<const KernelTask> tasks,
-                                std::span<const FusedTaskGroup> groups);
-
-/// Analytic twin of run_cl_kernel.
+/// Charge-only instantiation of the CL kernel (AnalyticPimPlatform).
 void charge_cl_kernel(DpuContext& ctx, const ClKernelArgs& args);
 
 }  // namespace drim

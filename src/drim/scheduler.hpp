@@ -40,7 +40,7 @@ struct SchedulerParams {
   double l_dc_dma = 0.0;
   double l_dc_dma_q4 = 0.0;
   /// Cluster-major fusion width the engine will run with (DESIGN.md §16).
-  /// 1 = per-task kernels, no amortization.
+  /// 1 = unfused (one group per task), no amortization.
   std::size_t fuse_width = 1;
   bool enable_filter = true;
   double filter_slack = 0.30;  ///< defer work above (1+slack)*mean load

@@ -4,7 +4,7 @@
 // materializes MRAM bytes: push/broadcast/pull only tally host-link traffic,
 // and the Mram bump allocators track offsets over lazily-backed storage that
 // is never touched. Kernel launches are expected to charge cycles
-// analytically (drim/kernels.hpp charge_* twins of the functional kernels),
+// analytically (the charge-only charge_* instantiations in drim/kernels.hpp),
 // so a batch on 2530 DPUs costs microseconds of host time instead of a full
 // byte-level simulation. Because pull() leaves the destination untouched,
 // the engine computes results itself (host-side exact ADC scan) before

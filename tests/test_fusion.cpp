@@ -5,10 +5,9 @@
 //    the unfused engine at ANY width, on both platforms, on both rungs, at
 //    every pipeline depth, and at every thread count (the plan is built from
 //    the deterministic task order, never from timing).
-//  * run_fused_search_kernel / charge_fused_search_kernel are exact charge
-//    twins (same per-phase counters, same modeled batch times), sharing the
-//    for_each_code_block DMA schedule so the functional and charge DC loops
-//    cannot drift.
+//  * a fused launch's run_search_kernel / charge_search_kernel
+//    instantiations are exact charge twins (same per-phase counters, same
+//    modeled batch times), sharing the for_each_code_block DMA schedule.
 //  * Infeasible widths fail fast, naming the maximum feasible width like
 //    the engine's other capacity errors.
 //  * The coalesced host replay (host_search_tasks_fused_into) and the
