@@ -135,9 +135,9 @@ DrimAnnEngine::DrimAnnEngine(IndexSnapshot snapshot, const FloatMatrix& sample_q
     }
   }
 
-  // Up-front fuse_width feasibility at a minimal depth (k = 1); search entry
-  // re-validates with the caller's actual k, whose heaps only grow the
-  // working set.
+  // Up-front WRAM feasibility of the search kernel at fuse_width and a
+  // minimal depth (k = 1); search entry re-validates with the caller's
+  // actual k, whose heaps only grow the working set.
   validate_fuse_width(1);
 }
 
@@ -178,10 +178,18 @@ std::size_t DrimAnnEngine::max_feasible_fuse_width(std::size_t k) const {
 
 void DrimAnnEngine::validate_fuse_width(std::size_t k) const {
   const std::size_t width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
-  if (width <= 1) return;
   const std::size_t feasible = max_feasible_fuse_width(k);
   if (width <= feasible) return;
-  char msg[192];
+  char msg[256];
+  if (feasible == 0) {
+    std::snprintf(msg, sizeof(msg),
+                  "search kernel WRAM working set does not fit: m %zu, cb %zu, "
+                  "k %zu exceed pim.wram_bytes %zu even unfused (one LUT + one "
+                  "code block + one top-k heap); reduce m, cb or k, or raise "
+                  "pim.wram_bytes",
+                  data_.m(), data_.cb_entries(), k, opts_.pim.wram_bytes);
+    throw std::invalid_argument(msg);
+  }
   std::snprintf(msg, sizeof(msg),
                 "fuse_width %zu exceeds the WRAM budget at k %zu (G LUTs + one "
                 "code block + G top-k heaps must fit); maximum feasible "

@@ -88,7 +88,8 @@ struct DrimEngineOptions {
   /// results bit-identical (each member keeps its own LUT, heap, and output
   /// row) and only amortize the DC DMA stream. Bounded by the 64 KB WRAM
   /// budget: G LUTs + one code block + G top-k heaps must fit; infeasible
-  /// widths throw naming the maximum feasible width.
+  /// widths throw naming the maximum feasible width (or, when even width 1
+  /// does not fit, naming m, cb, k and pim.wram_bytes).
   std::size_t fuse_width = 1;
 };
 
@@ -369,9 +370,9 @@ class DrimAnnEngine {
   /// of the up-front batch_size validation; called at search entry).
   void validate_staging(std::size_t k) const;
 
-  /// Throw std::invalid_argument naming the maximum feasible fusion width
-  /// when opts_.fuse_width's WRAM working set cannot fit at depth `k`.
-  /// No-op at fuse_width <= 1 (the kernel does its own check at launch).
+  /// Throw std::invalid_argument when opts_.fuse_width's WRAM working set
+  /// cannot fit at depth `k`: naming m, cb, k and pim.wram_bytes when even
+  /// width 1 does not fit, else naming the maximum feasible fusion width.
   void validate_fuse_width(std::size_t k) const;
 
   /// (Re)derive the Eq. 15 predictor coefficients for search depth `k`,

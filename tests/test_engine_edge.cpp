@@ -1,8 +1,11 @@
 // Edge-case and failure-injection tests for the DRIM engine and PIM
 // substrate: degenerate topologies, wide PQ codes through the whole engine,
-// oversubscribed k, MRAM exhaustion, and batch-size extremes.
+// oversubscribed k, MRAM and WRAM exhaustion, and batch-size extremes.
 
 #include <gtest/gtest.h>
+
+#include <stdexcept>
+#include <string>
 
 #include "core/flat_search.hpp"
 #include "data/recall.hpp"
@@ -133,6 +136,58 @@ TEST(EngineEdge, MramExhaustionThrowsCleanly) {
   o.pim.num_dpus = 2;
   o.pim.mram_bytes = 32 << 10;  // 32 KB: cannot hold codebooks + shards
   EXPECT_THROW(DrimAnnEngine(index, data.learn, o), std::runtime_error);
+}
+
+/// Expect `fn` to throw std::invalid_argument whose message names every
+/// string in `knobs`.
+template <typename Fn>
+void expect_invalid_naming(const Fn& fn, std::initializer_list<std::string> knobs) {
+  try {
+    fn();
+    ADD_FAILURE() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    for (const std::string& knob : knobs) {
+      EXPECT_NE(what.find(knob), std::string::npos) << "'" << knob << "' in: " << what;
+    }
+  }
+}
+
+// A search-kernel working set that cannot fit WRAM even unfused fails fast
+// with std::invalid_argument naming m, cb, k and pim.wram_bytes: at
+// construction (k 1) at every fuse width, and at search entry when only the
+// caller's k overflows — never as a runtime_error from inside a launch.
+TEST(EngineEdge, InfeasibleWramWorkingSetNamesTheKnobs) {
+  const SyntheticData data = small_data();
+  const IvfPqIndex index = small_index(data, 16, 16, 256);  // 16 KB LUT alone
+  for (const std::size_t width : {std::size_t{1}, std::size_t{2}}) {
+    SCOPED_TRACE("fuse_width " + std::to_string(width));
+    DrimEngineOptions o;
+    o.pim.num_dpus = 4;
+    o.pim.wram_bytes = 16 << 10;
+    o.fuse_width = width;
+    expect_invalid_naming([&] { DrimAnnEngine engine(index, data.learn, o); },
+                          {"m 16", "cb 256", "k 1", "pim.wram_bytes 16384"});
+  }
+
+  // Budget for the unfused working set at k 5: construction (k 1) passes,
+  // a k 10 search is rejected before any launch.
+  DrimEngineOptions o;
+  o.pim.num_dpus = 4;
+  const DrimAnnEngine probe(index, data.learn, o);
+  SearchKernelArgs args;
+  args.dim = static_cast<std::uint32_t>(index.dim());
+  args.m = 16;
+  args.cb = 256;
+  args.k = 5;
+  args.use_square_lut = o.use_square_lut;
+  args.sq_lut_max_abs = static_cast<std::uint32_t>(probe.square_lut().max_abs());
+  o.pim.wram_bytes = fused_search_wram_bytes(args, 1, 0);
+  DrimAnnEngine engine(index, data.learn, o);
+  EXPECT_EQ(engine.search(data.queries, 5, 4).size(), data.queries.count());
+  expect_invalid_naming([&] { engine.search(data.queries, 10, 4); },
+                        {"m 16", "cb 256", "k 10",
+                         "pim.wram_bytes " + std::to_string(o.pim.wram_bytes)});
 }
 
 TEST(EngineEdge, ZeroQueriesIsEmptyResult) {
