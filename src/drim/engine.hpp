@@ -84,12 +84,12 @@ struct DrimEngineOptions {
   /// MRAM once per group, scoring every member's LUT against each code block
   /// before advancing. 1 (default) ships no group plan and runs one group
   /// per task — results AND modeled times reproduce the unfused engine
-  /// bit-for-bit. Widths > 1 leave
-  /// results bit-identical (each member keeps its own LUT, heap, and output
-  /// row) and only amortize the DC DMA stream. Bounded by the 64 KB WRAM
-  /// budget: G LUTs + one code block + G top-k heaps must fit; infeasible
-  /// widths throw naming the maximum feasible width (or, when even width 1
-  /// does not fit, naming m, cb, k and pim.wram_bytes).
+  /// bit-for-bit. Widths > 1 leave results bit-identical (each member keeps
+  /// its own LUT, heap, and output row) and only amortize the DC DMA
+  /// stream. Bounded by the 64 KB WRAM budget: G LUTs + one code block + G
+  /// top-k heaps must fit; infeasible widths throw naming the maximum
+  /// feasible width (or, when even width 1 does not fit, naming m, cb, k
+  /// and pim.wram_bytes).
   std::size_t fuse_width = 1;
 };
 
