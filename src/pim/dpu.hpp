@@ -7,11 +7,11 @@
 // DpuContext, mirroring the UPMEM SDK programming model (mram_read /
 // mram_write DMA intrinsics + WRAM scratch).
 //
-// Threading contract: a Dpu is NOT internally synchronized. PimSystem's
+// Threading contract: a Dpu is NOT internally synchronized. SimPimPlatform's
 // parallel run_batch assigns at most one host thread to each Dpu at a time
 // (kernel run, staging push, or collection pull), which is sufficient
 // because MRAM, WRAM budget, and counters are all per-DPU private state;
-// cross-DPU shared state lives in PimSystem and is atomic there.
+// cross-DPU shared state lives in SimPimPlatform and is atomic there.
 
 #include <cstdint>
 #include <cstring>
@@ -49,7 +49,7 @@ class Mram {
     std::fill(data_.begin(), data_.end(), std::uint8_t{0});
   }
 
-  /// Host-side (transfer) access — used by PimSystem, not by kernels.
+  /// Host-side (transfer) access — used by SimPimPlatform, not by kernels.
   void write(std::size_t offset, std::span<const std::uint8_t> src);
   void read(std::size_t offset, std::span<std::uint8_t> dst) const;
 

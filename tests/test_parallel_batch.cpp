@@ -44,9 +44,9 @@ void expect_counters_equal(const DpuCounters& a, const DpuCounters& b) {
   }
 }
 
-// ---- PimSystem-level determinism ----
+// ---- SimPimPlatform-level determinism ----
 
-BatchResult run_mixed_batch(PimSystem& sys) {
+BatchResult run_mixed_batch(SimPimPlatform& sys) {
   const std::size_t n = sys.num_dpus();
   std::vector<std::uint8_t> staged(64, 0x5A);
   for (std::size_t d = 0; d < n; ++d) sys.push(d, 0, staged);
@@ -69,7 +69,7 @@ BatchResult run_mixed_batch(PimSystem& sys) {
 }
 
 TEST(ParallelBatch, TimingsAndCountersMatchSerial) {
-  PimSystem par(small_config(32)), ser(small_config(32));
+  SimPimPlatform par(small_config(32)), ser(small_config(32));
   const BatchResult a = with_threads(4, [&] { return run_mixed_batch(par); });
   const BatchResult b = with_threads(1, [&] { return run_mixed_batch(ser); });
 
@@ -86,7 +86,7 @@ TEST(ParallelBatch, TimingsAndCountersMatchSerial) {
 }
 
 TEST(ParallelBatch, MramContentsMatchSerial) {
-  PimSystem par(small_config(16)), ser(small_config(16));
+  SimPimPlatform par(small_config(16)), ser(small_config(16));
   with_threads(4, [&] { return run_mixed_batch(par); });
   with_threads(1, [&] { return run_mixed_batch(ser); });
   for (std::size_t d = 0; d < 16; ++d) {
@@ -98,7 +98,7 @@ TEST(ParallelBatch, MramContentsMatchSerial) {
 }
 
 TEST(ParallelBatch, KernelExceptionPropagates) {
-  PimSystem sys(small_config(8));
+  SimPimPlatform sys(small_config(8));
   EXPECT_THROW(sys.run_batch([](std::size_t d, DpuContext&) {
                  if (d == 5) throw std::runtime_error("kernel failure");
                }),
@@ -110,7 +110,7 @@ TEST(ParallelBatch, KernelExceptionPropagates) {
 TEST(TransferAccounting, DrainBillsPendingBytesOutsideBatches) {
   PimConfig cfg = small_config(2);
   cfg.host_link_bytes_per_sec = 1000.0;
-  PimSystem sys(cfg);
+  SimPimPlatform sys(cfg);
   const std::size_t off = sys.alloc_symmetric(512);
   std::vector<std::uint8_t> data(500);
   sys.push(0, off, data);

@@ -148,7 +148,7 @@ TEST(WramBudget, ThrowsWhenExceeded) {
 }
 
 TEST(PimSystem, SymmetricAllocStaysAligned) {
-  PimSystem sys(small_config(4));
+  SimPimPlatform sys(small_config(4));
   const std::size_t a = sys.alloc_symmetric(100);
   const std::size_t b = sys.alloc_symmetric(100);
   EXPECT_EQ(a, 0u);
@@ -156,7 +156,7 @@ TEST(PimSystem, SymmetricAllocStaysAligned) {
 }
 
 TEST(PimSystem, BroadcastReachesAllDpus) {
-  PimSystem sys(small_config(4));
+  SimPimPlatform sys(small_config(4));
   const std::size_t off = sys.alloc_symmetric(4);
   const std::uint8_t payload[4] = {7, 8, 9, 10};
   sys.broadcast(off, payload);
@@ -168,7 +168,7 @@ TEST(PimSystem, BroadcastReachesAllDpus) {
 }
 
 TEST(PimSystem, BatchTimeIsSlowestDpu) {
-  PimSystem sys(small_config(3));
+  SimPimPlatform sys(small_config(3));
   const BatchResult r = sys.run_batch([](std::size_t d, DpuContext& ctx) {
     ctx.set_phase(Phase::DC);
     ctx.charge_adds((d + 1) * 1000);  // DPU 2 is slowest
@@ -180,7 +180,7 @@ TEST(PimSystem, BatchTimeIsSlowestDpu) {
 TEST(PimSystem, TransferBytesBilledAtHostLink) {
   PimConfig cfg = small_config(2);
   cfg.host_link_bytes_per_sec = 1000.0;  // 1 KB/s for easy math
-  PimSystem sys(cfg);
+  SimPimPlatform sys(cfg);
   const std::size_t off = sys.alloc_symmetric(512);
   std::vector<std::uint8_t> data(500);
   sys.push(0, off, data);
@@ -195,7 +195,7 @@ TEST(PimSystem, TransferBytesBilledAtHostLink) {
 TEST(PimSystem, CollectBillsTransferOut) {
   PimConfig cfg = small_config(2);
   cfg.host_link_bytes_per_sec = 1000.0;
-  PimSystem sys(cfg);
+  SimPimPlatform sys(cfg);
   sys.alloc_symmetric(256);
   std::vector<std::uint8_t> out(250);
   const BatchResult r = sys.run_batch([](std::size_t, DpuContext&) {},
@@ -204,7 +204,7 @@ TEST(PimSystem, CollectBillsTransferOut) {
 }
 
 TEST(PimSystem, CountersResetBetweenBatches) {
-  PimSystem sys(small_config(1));
+  SimPimPlatform sys(small_config(1));
   sys.run_batch([](std::size_t, DpuContext& ctx) {
     ctx.set_phase(Phase::LC);
     ctx.charge_adds(100);
