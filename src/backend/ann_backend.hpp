@@ -52,10 +52,10 @@ struct BackendStats {
   std::size_t batches = 0;
   std::size_t tasks = 0;
   std::vector<double> batch_seconds;  ///< modeled latency per step, in order
-  /// Code-stream bytes the cluster-major fusion stage avoided re-reading
-  /// (DESIGN.md §16): MRAM DC re-streams amortized by fused kernel groups,
-  /// plus host-side duplicate pulls the coalesced drain fallback skipped.
-  /// 0 for backends without a fusion stage and at fuse_width 1.
+  /// Code-stream bytes a backend avoided re-reading: the host-side duplicate
+  /// pulls the cluster tier's coalesced drain fallback skipped. The cluster
+  /// tier is its only writer, so it is 0 on every other backend and while
+  /// no shard is drained.
   std::uint64_t dc_bytes_saved = 0;
 
   double qps() const { return total_seconds > 0 ? queries / total_seconds : 0.0; }

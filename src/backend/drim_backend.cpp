@@ -146,7 +146,6 @@ BackendStats DrimBackend::stats() const {
   out.batches = stats_.batches;
   out.tasks = stats_.tasks;
   out.batch_seconds = stats_.batch_seconds;
-  out.dc_bytes_saved = stats_.dc_bytes_saved;
   return out;
 }
 

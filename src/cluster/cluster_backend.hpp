@@ -168,8 +168,8 @@ class ClusterBackend final : public AnnBackend {
   /// Exact-scan one whole cluster on the host for every query in `members`
   /// at search depth `k` (tombstone-aware: the snapshot's dead flags filter
   /// before the top-k, like the kernels), appending each member's hits to
-  /// its q.fallback_hits. Coalesced like the kernels' cluster-major fusion
-  /// (DESIGN.md §16): the cluster's code + id block is pulled ONCE per step
+  /// its q.fallback_hits. Coalesced like the analytic platform's host-exact
+  /// replay: the cluster's code + id block is pulled ONCE per step
   /// instead of once per query, so the returned modeled seconds bill one
   /// stream regardless of member count; the avoided re-pulls are added to
   /// stats_.dc_bytes_saved.

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <map>
 #include <stdexcept>
+#include <unordered_map>
 
 #include "common/parallel.hpp"
 #include "drim/host_exact.hpp"
@@ -39,6 +40,31 @@ void dedup_reserve(std::size_t id_space) {
     tl_dedup_slot.resize(id_space, 0);
   }
 }
+
+/// One (shard, rung) group of a DPU's task list, replayed by the analytic
+/// platform's coalesced host-exact scan.
+struct ReplayGroup {
+  std::uint32_t shard_slot = 0;
+  bool q4 = false;
+  std::vector<std::uint32_t> tasks;  ///< indices into the task list, ascending
+};
+
+/// Group a task list by (shard_slot, rung). Groups open in first-task order
+/// and members keep list order, so the grouping never depends on hash order
+/// or host thread count.
+std::vector<ReplayGroup> group_by_shard_and_rung(std::span<const KernelTask> tasks) {
+  std::vector<ReplayGroup> groups;
+  std::unordered_map<std::uint64_t, std::size_t> index;
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const bool q4 = task_is_q4(tasks[t]);
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(tasks[t].shard_slot) << 1) | (q4 ? 1u : 0u);
+    const auto [it, fresh] = index.try_emplace(key, groups.size());
+    if (fresh) groups.push_back({tasks[t].shard_slot, q4, {}});
+    groups[it->second].tasks.push_back(static_cast<std::uint32_t>(t));
+  }
+  return groups;
+}
 }  // namespace
 
 SchedulerParams derive_scheduler_params(const PimConfig& cfg, std::size_t dim,
@@ -55,12 +81,10 @@ SchedulerParams derive_scheduler_params(const PimConfig& cfg, std::size_t dim,
   const double rc = static_cast<double>(dim) * (c.add + 3.0 * c.wram_access);
   const double lc_dma = static_cast<double>(m * cb * dsub * 2) * cfg.dma_cycles_per_byte;
   p.l_lut = static_cast<double>(m * cb) * per_entry + rc + lc_dma;
-  // DC per point: m LUT loads + (m-1) adds + streamed code bytes. The DMA
-  // share is also recorded separately (l_dc_dma) so the fusion stage's
-  // amortized pricing can subtract exactly the term fusion removes.
-  p.l_dc_dma = static_cast<double>(m) * cfg.dma_cycles_per_byte;
+  // DC per point: m LUT loads + (m-1) adds + streamed code bytes.
   p.l_calu = static_cast<double>(m) * c.lut_lookup +
-             static_cast<double>(m - 1) * c.add + p.l_dc_dma;
+             static_cast<double>(m - 1) * c.add +
+             static_cast<double>(m) * cfg.dma_cycles_per_byte;
   // TS per point: threshold compare plus amortized heap maintenance.
   double log2k = 1.0;
   for (std::size_t v = k; v > 1; v >>= 1) log2k += 1.0;
@@ -78,13 +102,12 @@ SchedulerParams derive_scheduler_params(const PimConfig& cfg, std::size_t dim,
         static_cast<double>(pairs) * 256.0 * (c.add + c.wram_access);
     p.l_lut_q4 = static_cast<double>(m * cb4) * per_entry_q4 + rc +
                  static_cast<double>(dim) + lc_dma_q4 + pair_fold;
-    p.l_dc_dma_q4 = static_cast<double>(pairs) * cfg.dma_cycles_per_byte;
     p.l_calu_q4 = static_cast<double>(pairs) * c.lut_lookup +
-                  static_cast<double>(pairs - 1) * c.add + p.l_dc_dma_q4;
+                  static_cast<double>(pairs - 1) * c.add +
+                  static_cast<double>(pairs) * cfg.dma_cycles_per_byte;
   } else {
     p.l_lut_q4 = p.l_lut;
     p.l_calu_q4 = p.l_calu;
-    p.l_dc_dma_q4 = p.l_dc_dma;
   }
   return p;
 }
@@ -135,10 +158,10 @@ DrimAnnEngine::DrimAnnEngine(IndexSnapshot snapshot, const FloatMatrix& sample_q
     }
   }
 
-  // Up-front WRAM feasibility of the search kernel at fuse_width and a
-  // minimal depth (k = 1); search entry re-validates with the caller's
-  // actual k, whose heaps only grow the working set.
-  validate_fuse_width(1);
+  // Up-front WRAM feasibility of the search kernel at a minimal depth
+  // (k = 1); search entry re-validates with the caller's actual k, whose
+  // heap only grows the working set.
+  validate_wram(1);
 }
 
 std::size_t DrimAnnEngine::max_staged_queries(std::size_t k) const {
@@ -152,7 +175,7 @@ std::size_t DrimAnnEngine::max_staged_queries(std::size_t k) const {
   return capacity / per_query;
 }
 
-std::size_t DrimAnnEngine::max_feasible_fuse_width(std::size_t k) const {
+void DrimAnnEngine::validate_wram(std::size_t k) const {
   SearchKernelArgs args;
   args.dim = static_cast<std::uint32_t>(data_.dim());
   args.m = static_cast<std::uint32_t>(data_.m());
@@ -160,42 +183,28 @@ std::size_t DrimAnnEngine::max_feasible_fuse_width(std::size_t k) const {
   args.k = static_cast<std::uint32_t>(std::max<std::size_t>(k, 1));
   args.use_square_lut = opts_.use_square_lut;
   args.sq_lut_max_abs = static_cast<std::uint32_t>(sq_lut_.max_abs());
-  const bool ladder = q4_ready();
-  if (ladder) {
-    args.has_q4 = true;
-    args.cb4 = static_cast<std::uint32_t>(data_.cb4());
-  }
-  std::size_t feasible = 0;
-  for (std::size_t w = 1;; ++w) {
-    // With the ladder on, full and q4 groups can coexist in one launch, so
-    // the bound must hold with BOTH rungs at width w (worst case).
-    const std::size_t need = fused_search_wram_bytes(args, w, ladder ? w : 0);
-    if (need > opts_.pim.wram_bytes) break;
-    feasible = w;
-  }
-  return feasible;
-}
-
-void DrimAnnEngine::validate_fuse_width(std::size_t k) const {
-  const std::size_t width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
-  const std::size_t feasible = max_feasible_fuse_width(k);
-  if (width <= feasible) return;
+  args.cb4 = static_cast<std::uint32_t>(data_.cb4());
+  const std::size_t budget = opts_.pim.wram_bytes;
   char msg[256];
-  if (feasible == 0) {
+  if (search_wram_bytes(args, false) > budget) {
     std::snprintf(msg, sizeof(msg),
                   "search kernel WRAM working set does not fit: m %zu, cb %zu, "
-                  "k %zu exceed pim.wram_bytes %zu even unfused (one LUT + one "
-                  "code block + one top-k heap); reduce m, cb or k, or raise "
-                  "pim.wram_bytes",
-                  data_.m(), data_.cb_entries(), k, opts_.pim.wram_bytes);
+                  "k %zu exceed pim.wram_bytes %zu (one LUT + one code block + "
+                  "one top-k heap); reduce m, cb or k, or raise pim.wram_bytes",
+                  data_.m(), data_.cb_entries(), k, budget);
     throw std::invalid_argument(msg);
   }
-  std::snprintf(msg, sizeof(msg),
-                "fuse_width %zu exceeds the WRAM budget at k %zu (G LUTs + one "
-                "code block + G top-k heaps must fit); maximum feasible "
-                "fuse_width is %zu",
-                width, k, feasible);
-  throw std::invalid_argument(msg);
+  // With the ladder on, one launch can carry both rungs, so the q4 rung's
+  // coarse sub-LUT and pair-LUT buffers must fit beside the full-rung set.
+  if (q4_ready() && search_wram_bytes(args, true) > budget) {
+    std::snprintf(msg, sizeof(msg),
+                  "search kernel WRAM working set does not fit with enable_q4: "
+                  "m %zu, cb %zu, k %zu plus the 4-bit rung's buffers exceed "
+                  "pim.wram_bytes %zu; turn off enable_q4, reduce m, cb or k, "
+                  "or raise pim.wram_bytes",
+                  data_.m(), data_.cb_entries(), k, budget);
+    throw std::invalid_argument(msg);
+  }
 }
 
 void DrimAnnEngine::validate_staging(std::size_t k) const {
@@ -219,9 +228,6 @@ void DrimAnnEngine::ensure_scheduler_params(std::size_t k) {
   opts_.scheduler.enable_filter = filter;
   opts_.scheduler.filter_slack = slack;
   opts_.scheduler.policy = policy;
-  // Eq. 15 prices tasks at the width the kernels will actually fuse at, so
-  // dispatch and the filter see the amortized DC DMA cost (DESIGN.md §16).
-  opts_.scheduler.fuse_width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
   sched_params_k_ = k;
   if (scheduler_) scheduler_->params() = opts_.scheduler;
 }
@@ -746,9 +752,9 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     k = std::max<std::size_t>(k, state.query_k[t.query]);
   }
   // Price the Eq. 15 TS term for this step's actual search depth, and check
-  // the fusion width's WRAM working set against it (the heaps scale with k).
+  // the kernel's WRAM working set against it (the heap scales with k).
   ensure_scheduler_params(k);
-  validate_fuse_width(k);
+  validate_wram(k);
 
   // CL-on-PIM: a dedicated barrier launch precedes the search launch (it
   // cannot overlap — the search needs its output). The launch keeps the
@@ -870,39 +876,6 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     }
   });
 
-  // ---- cluster-major fusion plan (DESIGN.md §16) ----
-  // Group each DPU's tasks by (cluster, rung) so the kernel streams every
-  // fused group's codes from MRAM once. Planned host-side (the kernel is
-  // shipped the plan, so both kernel instantiations see the same grouping);
-  // the saved re-stream bytes are tallied here from the plan alone.
-  const std::size_t fuse_width = opts_.fuse_width == 0 ? 1 : opts_.fuse_width;
-  std::vector<std::vector<FusedTaskGroup>> dpu_groups;
-  std::uint64_t dc_bytes_saved = 0;
-  std::size_t fused_groups = 0;
-  std::size_t fused_tasks = 0;
-  if (fuse_width > 1) {
-    dpu_groups.resize(num_dpus);
-    parallel_for(0, num_dpus, [&](std::size_t d) {
-      if (!dpu_tasks[d].empty()) {
-        dpu_groups[d] = plan_task_fusion(dpu_tasks[d], fuse_width);
-      }
-    });
-    for (std::size_t d = 0; d < num_dpus; ++d) {
-      fused_groups += dpu_groups[d].size();
-      for (const FusedTaskGroup& g : dpu_groups[d]) {
-        if (g.tasks.size() <= 1) continue;
-        fused_tasks += g.tasks.size();
-        const ShardRegion& sh = dpu_shard_regions_[d][g.shard_slot];
-        const std::size_t code_size =
-            ladder && g.q4 ? data_.code_size_q4() : data_.code_size();
-        std::uint64_t bytes = static_cast<std::uint64_t>(sh.size) * code_size;
-        // The tombstone-flag stream is also shared by the group.
-        if (sh.dead != nullptr) bytes += sh.size;
-        dc_bytes_saved += (g.tasks.size() - 1) * bytes;
-      }
-    }
-  }
-
   // ---- launch ----
   SearchKernelArgs args;
   args.dim = static_cast<std::uint32_t>(dim);
@@ -930,16 +903,10 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
         if (dpu_tasks[d].empty()) return;
         SearchKernelArgs a = args;
         a.output_offset = dpu_output_off[d];
-        // fuse_width 1 ships no group plan: the kernel runs one group per
-        // task with no descriptor table, so results and modeled times
-        // reproduce the pre-fusion engine bit-for-bit.
-        const std::span<const FusedTaskGroup> groups =
-            fuse_width > 1 ? std::span<const FusedTaskGroup>(dpu_groups[d])
-                           : std::span<const FusedTaskGroup>();
         if (functional) {
-          run_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d], groups);
+          run_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d]);
         } else {
-          charge_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d], groups);
+          charge_search_kernel(ctx, a, dpu_shard_regions_[d], dpu_tasks[d]);
         }
       },
       [&]() {
@@ -964,12 +931,9 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
             // untouched. Replays the rung the kernel would have run: q4 task
             // rows hold (coarse dist, LOCAL index) pairs, full rows global
             // ids.
-            const auto replay_groups =
-                plan_task_fusion(dpu_tasks[d], dpu_tasks[d].size());
             std::vector<HostFusedTask> members;
-            for (const FusedTaskGroup& g : replay_groups) {
-              const Shard& sh =
-                  layout_->shard(dpu_shard_ids_[d][g.shard_slot]);
+            for (const ReplayGroup& g : group_by_shard_and_rung(dpu_tasks[d])) {
+              const Shard& sh = layout_->shard(dpu_shard_ids_[d][g.shard_slot]);
               members.clear();
               for (const std::uint32_t t : g.tasks) {
                 members.push_back({state.quantized[dpu_task_query[d][t]].data(),
@@ -1140,7 +1104,6 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     }
   }
   st.tasks += step.tasks;
-  st.dc_bytes_saved += dc_bytes_saved;
   st.counters.add(pim_->aggregate_counters());
   ++st.batches;
   st.batch_seconds.push_back(step.step_seconds);
@@ -1151,18 +1114,6 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   if (trace_ != nullptr) {
     std::vector<std::size_t> tasks_per_dpu(num_dpus);
     for (std::size_t d = 0; d < num_dpus; ++d) tasks_per_dpu[d] = dpu_tasks[d].size();
-    // Fused-group span alongside the search launch's DPU compute, plus the
-    // running saved-bytes counter (DESIGN.md §16).
-    const auto trace_fusion = [&](double compute_start) {
-      if (fuse_width <= 1 || fused_groups == 0) return;
-      trace_->span(trace_->lane("pim/fusion"), "fused-groups", "pim",
-                   compute_start, batch.dpu_seconds,
-                   {{"groups", static_cast<double>(fused_groups)},
-                    {"fused_tasks", static_cast<double>(fused_tasks)},
-                    {"dc_bytes_saved", static_cast<double>(dc_bytes_saved)}});
-      trace_->counter("dc_bytes_saved", step.complete_seconds,
-                      {{"bytes", static_cast<double>(st.dc_bytes_saved)}});
-    };
     if (depth == 1) {
       // locate_on_pim already advanced the cursor past the CL launch, so the
       // search launch and the overlapped host CL both start at now().
@@ -1177,7 +1128,6 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
                      {{"q4_tasks", static_cast<double>(q4_tasks)}});
       }
       trace_launch(exec0, batch, "search", tasks_per_dpu);
-      trace_fusion(exec0 + batch.transfer_in_seconds + batch.launch_overhead_seconds);
       trace_->set_now(exec0 + std::max(host_side, batch.total_seconds()));
     } else {
       // Pipelined: every span sits at its scheduled absolute time, so
@@ -1198,7 +1148,6 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
       layout.kern_start = sched.compute_start + batch.launch_overhead_seconds;
       layout.out_start = sched.out_start;
       trace_launch_spans(layout, batch, "search", tasks_per_dpu);
-      trace_fusion(layout.kern_start);
       trace_->set_now(state.last_complete_seconds);
     }
   }
@@ -1226,22 +1175,7 @@ double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_
   const double tasks = static_cast<double>(num_queries) *
                        static_cast<double>(std::min<std::size_t>(nprobe, nlist)) *
                        mean_slices;
-  // Cluster-major fusion amortizes the per-point DC DMA share: the effective
-  // width is bounded both by the configured fuse_width and by how many
-  // co-cluster tasks a batch statistically offers (num_queries * nprobe
-  // visits spread over nlist clusters). At fuse_width 1 the subtrahend is
-  // exactly 0.0, so the estimate reproduces the unfused arithmetic
-  // bit-for-bit.
-  const double fuse_width =
-      static_cast<double>(opts_.fuse_width == 0 ? 1 : opts_.fuse_width);
-  const double eff = std::min(
-      fuse_width,
-      std::max(1.0, static_cast<double>(num_queries) *
-                        static_cast<double>(std::min<std::size_t>(nprobe, nlist)) /
-                        std::max(1.0, static_cast<double>(nlist))));
-  const double cycles =
-      tasks * (p.l_lut + mean_points * (p.l_calu + p.l_sortu) -
-               (1.0 - 1.0 / eff) * mean_points * p.l_dc_dma);
+  const double cycles = tasks * (p.l_lut + mean_points * (p.l_calu + p.l_sortu));
   const PimConfig& cfg = opts_.pim;
   const double dpu_s = cycles / static_cast<double>(cfg.num_dpus) /
                        cfg.effective_ipc() * cfg.seconds_per_cycle();

@@ -78,19 +78,6 @@ struct DrimEngineOptions {
   /// Ignored (with a clamp to full precision at enqueue) when the index has
   /// no q4 tables (wide codes).
   bool enable_q4 = false;
-  /// Cluster-major task fusion width (DESIGN.md §16): after scheduling, each
-  /// DPU's tasks are grouped by (cluster, rung) into fused groups of up to
-  /// this many queries; the kernel streams the cluster's packed codes from
-  /// MRAM once per group, scoring every member's LUT against each code block
-  /// before advancing. 1 (default) ships no group plan and runs one group
-  /// per task — results AND modeled times reproduce the unfused engine
-  /// bit-for-bit. Widths > 1 leave results bit-identical (each member keeps
-  /// its own LUT, heap, and output row) and only amortize the DC DMA
-  /// stream. Bounded by the 64 KB WRAM budget: G LUTs + one code block + G
-  /// top-k heaps must fit; infeasible widths throw naming the maximum
-  /// feasible width (or, when even width 1 does not fit, naming m, cb, k
-  /// and pim.wram_bytes).
-  std::size_t fuse_width = 1;
 };
 
 /// Timing/energy/traffic report for one search() call.
@@ -119,10 +106,9 @@ struct DrimSearchStats {
   std::vector<double> batch_seconds;
   DpuCounters counters;             ///< aggregate over DPUs and batches
   double energy_joules = 0.0;
-  /// MRAM code-stream bytes the cluster-major fusion stage avoided re-reading
-  /// (DESIGN.md §16): for each fused group, (width - 1) x the cluster's
-  /// packed-code bytes (plus tombstone-flag bytes on deleted-from shards).
-  /// Exactly 0 at fuse_width 1.
+  /// Code-stream bytes a search avoided re-reading. The engine runs one task
+  /// per kernel iteration and never writes this field, so it is always 0;
+  /// it stays because per-layer benchmark reports read it.
   std::uint64_t dc_bytes_saved = 0;
 
   double qps() const { return total_seconds > 0 ? queries / total_seconds : 0.0; }
@@ -305,13 +291,6 @@ class DrimAnnEngine {
   /// depends on the schedule and is re-validated by search_batch().
   std::size_t max_staged_queries(std::size_t k) const;
 
-  /// Largest cluster-major fusion width whose WRAM working set (G LUTs + one
-  /// code block + G bounded top-k heaps; q4 pair-LUT rows when the ladder is
-  /// on) fits the 64 KB budget at search depth `k` (DESIGN.md §16). 0 means
-  /// even the unfused (width 1) working set does not fit. search_batch() and
-  /// the constructor validate opts().fuse_width against this bound.
-  std::size_t max_feasible_fuse_width(std::size_t k) const;
-
   /// Attach (or detach, with nullptr) a trace recorder. Every subsequent
   /// search_batch() lays its launches on the recorder's virtual clock: a
   /// CL-on-PIM launch first, then transfer-in / launch overhead / per-DPU
@@ -370,10 +349,11 @@ class DrimAnnEngine {
   /// of the up-front batch_size validation; called at search entry).
   void validate_staging(std::size_t k) const;
 
-  /// Throw std::invalid_argument when opts_.fuse_width's WRAM working set
-  /// cannot fit at depth `k`: naming m, cb, k and pim.wram_bytes when even
-  /// width 1 does not fit, else naming the maximum feasible fusion width.
-  void validate_fuse_width(std::size_t k) const;
+  /// Throw std::invalid_argument when the search kernel's WRAM working set
+  /// (search_wram_bytes) cannot fit pim.wram_bytes at depth `k`, naming m,
+  /// cb, k and pim.wram_bytes, and also enable_q4 when only the 4-bit rung's
+  /// buffers overflow.
+  void validate_wram(std::size_t k) const;
 
   /// (Re)derive the Eq. 15 predictor coefficients for search depth `k`,
   /// preserving the caller's filter/policy settings. Cached per k: search()

@@ -51,7 +51,7 @@ struct HostFusedTask {
 /// shard: builds every member's LUT, then walks the shard's codes in
 /// cache-sized tiles, scoring each tile against all members before
 /// advancing — the shard's code block is pulled once per batch instead of
-/// once per query (DESIGN.md §16). Each member keeps its own LUT, bounded
+/// once per query (DESIGN.md §10). Each member keeps its own LUT, bounded
 /// top-k, and ascending point order, so every output row is byte-identical
 /// to the corresponding single-task host_search_task_into /
 /// host_search_task_q4_into call. `q4` selects the rung for ALL members

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <unordered_map>
+#include <vector>
 
 namespace drim {
 namespace {
@@ -174,190 +174,152 @@ void cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {
   }
 }
 
-/// The search kernel. `groups` empty = one group per task, in task order,
-/// with no group-descriptor table shipped (the unfused launch).
+/// The search kernel: one task per iteration.
 template <bool kMove>
 void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                    std::span<const ShardRegion> shards,
-                   std::span<const KernelTask> tasks,
-                   std::span<const FusedTaskGroup> groups) {
+                   std::span<const KernelTask> tasks) {
   const std::size_t dim = args.dim;
   const std::size_t m = args.m;
   const std::size_t cb = args.cb;
   const std::size_t dsub = dim / m;
   const std::size_t cb4 = args.cb4;
   const std::size_t pairs = args.has_q4 ? (m + 1) / 2 : 0;
-  const bool per_task = groups.empty();
-  const std::size_t num_groups = per_task ? tasks.size() : groups.size();
 
-  const auto is_q4 = [&](std::size_t g) {
-    return args.has_q4 && (per_task ? task_is_q4(tasks[g]) : groups[g].q4);
-  };
-
-  // Widest group per rung: q4 buffers join the working set only when this
-  // launch actually carries a 4-bit group.
-  std::size_t full_width = 0;
-  std::size_t q4_width = 0;
-  for (std::size_t g = 0; g < num_groups; ++g) {
-    const std::size_t width = per_task ? 1 : groups[g].tasks.size();
-    std::size_t& widest = is_q4(g) ? q4_width : full_width;
-    widest = std::max(widest, width);
-  }
+  const auto is_q4 = [&](const KernelTask& t) { return args.has_q4 && task_is_q4(t); };
+  // q4 buffers join the working set only when this launch actually carries
+  // a 4-bit task.
+  const bool any_q4 = std::any_of(tasks.begin(), tasks.end(), is_q4);
 
   // ---- WRAM working set (checked against the 64 KB budget) ----
-  check_wram_budget(ctx.config(), fused_search_wram_bytes(args, full_width, q4_width));
+  check_wram_budget(ctx.config(), search_wram_bytes(args, any_q4));
   std::vector<std::int16_t> query = wram_buffer<kMove, std::int16_t>(dim);
   std::vector<std::int16_t> centroid = wram_buffer<kMove, std::int16_t>(dim);
   std::vector<std::int32_t> residual = wram_buffer<kMove, std::int32_t>(dim);
-  std::vector<std::uint32_t> lut =
-      wram_buffer<kMove, std::uint32_t>(std::max<std::size_t>(full_width, 1) * m * cb);
+  std::vector<std::uint32_t> lut = wram_buffer<kMove, std::uint32_t>(m * cb);
   std::vector<std::int16_t> cb_slice = wram_buffer<kMove, std::int16_t>(cb * dsub);
   std::vector<std::uint8_t> code_block = wram_buffer<kMove, std::uint8_t>(kMaxDmaBytes);
-  std::vector<std::uint32_t> lut4 =
-      wram_buffer<kMove, std::uint32_t>(q4_width > 0 ? m * cb4 : 0);
+  std::vector<std::uint32_t> lut4 = wram_buffer<kMove, std::uint32_t>(any_q4 ? m * cb4 : 0);
   std::vector<std::uint32_t> pair_lut =
-      wram_buffer<kMove, std::uint32_t>(q4_width * pairs * 256);
-  std::vector<WramTopK> heaps;
+      wram_buffer<kMove, std::uint32_t>(any_q4 ? pairs * 256 : 0);
 
-  // The task list arrives by DMA; a fused launch also ships the group
-  // descriptor table (the host plans, the kernel never re-derives it).
+  // The task list arrives by DMA.
   ctx.set_phase(Phase::AUX);
   ctx.charge_cycles(tasks.size() * 4);  // task decode / loop control
   ctx.charge_mram_read(tasks.size() * sizeof(KernelTask));
-  if (!per_task) {
-    ctx.charge_cycles(groups.size() * 4);  // group decode / loop control
-    ctx.charge_mram_read(groups.size() * sizeof(KernelTask));
-  }
 
-  for (std::size_t gi = 0; gi < num_groups; ++gi) {
-    // Member task indices; an unfused launch's group is its one task.
-    const std::uint32_t self = static_cast<std::uint32_t>(gi);
-    const std::span<const std::uint32_t> group =
-        per_task ? std::span<const std::uint32_t>(&self, 1)
-                 : std::span<const std::uint32_t>(groups[gi].tasks);
-    const ShardRegion& shard =
-        shards[per_task ? tasks[gi].shard_slot : groups[gi].shard_slot];
-    const bool q4 = is_q4(gi);
+  for (std::size_t t = 0; t < tasks.size(); ++t) {
+    const KernelTask& task = tasks[t];
+    const ShardRegion& shard = shards[task.shard_slot];
+    const bool q4 = is_q4(task);
     const std::uint32_t shift = q4 ? shard.q4_shift : 0;
-    const std::size_t width = group.size();
 
-    // ---- RC + LC per member: the centroid is group-shared (read once);
-    // each member reads its own query, forms its residual, and builds its
-    // own LUT slab row. ----
+    // ---- RC: residual = query - centroid ----
     ctx.set_phase(Phase::RC);
     dma_read<kMove>(ctx, args.centroids_offset + shard.cluster * dim * 2,
                     centroid.data(), dim * 2);
-    for (std::size_t g = 0; g < width; ++g) {
-      const KernelTask& task = tasks[group[g]];
-      ctx.set_phase(Phase::RC);
-      dma_read<kMove>(ctx, args.queries_offset + task_query_slot(task) * dim * 2,
-                      query.data(), dim * 2);
+    dma_read<kMove>(ctx, args.queries_offset + task_query_slot(task) * dim * 2,
+                    query.data(), dim * 2);
+    if constexpr (kMove) {
+      for (std::size_t d = 0; d < dim; ++d) {
+        residual[d] = static_cast<std::int32_t>(query[d]) - centroid[d];
+      }
+    }
+    ctx.charge_adds(dim);
+    ctx.charge_wram(dim * 3);  // two loads + one store per component
+    if (q4) {
+      // Per-cluster residual scalar quantization: arithmetic shift, one
+      // cycle per component (billed even at shift 0 so the q4 charge
+      // stream is schedule-determined, not data-determined).
       if constexpr (kMove) {
-        for (std::size_t d = 0; d < dim; ++d) {
-          residual[d] = static_cast<std::int32_t>(query[d]) - centroid[d];
-        }
+        for (std::size_t d = 0; d < dim; ++d) residual[d] >>= shift;
       }
-      ctx.charge_adds(dim);
-      ctx.charge_wram(dim * 3);  // two loads + one store per component
-      if (q4) {
-        // Per-cluster residual scalar quantization: arithmetic shift, one
-        // cycle per component (billed even at shift 0 so the q4 charge
-        // stream is schedule-determined, not data-determined).
-        if constexpr (kMove) {
-          for (std::size_t d = 0; d < dim; ++d) residual[d] >>= shift;
-        }
-        ctx.charge_cycles(dim);
-      }
+      ctx.charge_cycles(dim);
+    }
 
-      ctx.set_phase(Phase::LC);
-      if (!q4) {
-        // ---- LC: lut[sub][e] = sum_d (residual - codeword)^2 ----
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          mram_read_chunked<kMove>(ctx, args.codebooks_offset + sub * cb * dsub * 2,
-                                   cb_slice.data(), cb * dsub * 2);
-          if constexpr (kMove) {
-            const std::int32_t* res = residual.data() + sub * dsub;
-            std::uint32_t* lrow = lut.data() + (g * m + sub) * cb;
-            for (std::size_t e = 0; e < cb; ++e) {
-              const std::int16_t* cw = cb_slice.data() + e * dsub;
-              std::uint32_t acc = 0;
-              for (std::size_t d = 0; d < dsub; ++d) {
-                const std::int32_t diff = res[d] - cw[d];
-                const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-                acc += a * a;
-              }
-              lrow[e] = acc;
+    ctx.set_phase(Phase::LC);
+    if (!q4) {
+      // ---- LC: lut[sub][e] = sum_d (residual - codeword)^2 ----
+      for (std::size_t sub = 0; sub < m; ++sub) {
+        mram_read_chunked<kMove>(ctx, args.codebooks_offset + sub * cb * dsub * 2,
+                                 cb_slice.data(), cb * dsub * 2);
+        if constexpr (kMove) {
+          const std::int32_t* res = residual.data() + sub * dsub;
+          std::uint32_t* lrow = lut.data() + sub * cb;
+          for (std::size_t e = 0; e < cb; ++e) {
+            const std::int16_t* cw = cb_slice.data() + e * dsub;
+            std::uint32_t acc = 0;
+            for (std::size_t d = 0; d < dsub; ++d) {
+              const std::int32_t diff = res[d] - cw[d];
+              const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+              acc += a * a;
             }
+            lrow[e] = acc;
           }
-          // Cost per dimension of each entry: one subtract, one square
-          // (square-table lookup, or multiply in the ablation), one
-          // accumulate — the paper's "M x 3 - 1 per subvector" accounting —
-          // plus one WRAM store per finished entry.
-          charge_square_stream(ctx, args.use_square_lut, cb * dsub);
-          ctx.charge_adds(cb * 2 * dsub);
-          ctx.charge_wram(cb);
         }
-      } else {
-        // ---- LC (q4): coarse sub-LUTs, folded into per-pair byte LUTs ----
-        // Each subquantizer scores against its cb4-entry coarse codebook
-        // (shifted into the cluster's residual scale) into the shared lut4
-        // scratch; pairs of sub-LUTs then fold into this member's 256-entry
-        // pair-LUT slab row, so DC scores two subquantizers per byte lookup.
-        for (std::size_t sub = 0; sub < m; ++sub) {
-          mram_read_chunked<kMove>(ctx, args.codebooks_q4_offset + sub * cb4 * dsub * 2,
-                                   cb_slice.data(), cb4 * dsub * 2);
-          if constexpr (kMove) {
-            const std::int32_t* res = residual.data() + sub * dsub;
-            std::uint32_t* lrow = lut4.data() + sub * cb4;
-            for (std::size_t e = 0; e < cb4; ++e) {
-              const std::int16_t* cw = cb_slice.data() + e * dsub;
-              std::uint32_t acc = 0;
-              for (std::size_t d = 0; d < dsub; ++d) {
-                const std::int32_t diff = res[d] - (cw[d] >> shift);
-                const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
-                acc += a * a;
-              }
-              lrow[e] = acc;
+        // Cost per dimension of each entry: one subtract, one square
+        // (square-table lookup, or multiply in the ablation), one
+        // accumulate — the paper's "M x 3 - 1 per subvector" accounting —
+        // plus one WRAM store per finished entry.
+        charge_square_stream(ctx, args.use_square_lut, cb * dsub);
+        ctx.charge_adds(cb * 2 * dsub);
+        ctx.charge_wram(cb);
+      }
+    } else {
+      // ---- LC (q4): coarse sub-LUTs, folded into per-pair byte LUTs ----
+      // Each subquantizer scores against its cb4-entry coarse codebook
+      // (shifted into the cluster's residual scale) into lut4; pairs of
+      // sub-LUTs then fold into 256-entry pair LUTs, so DC scores two
+      // subquantizers per byte lookup.
+      for (std::size_t sub = 0; sub < m; ++sub) {
+        mram_read_chunked<kMove>(ctx, args.codebooks_q4_offset + sub * cb4 * dsub * 2,
+                                 cb_slice.data(), cb4 * dsub * 2);
+        if constexpr (kMove) {
+          const std::int32_t* res = residual.data() + sub * dsub;
+          std::uint32_t* lrow = lut4.data() + sub * cb4;
+          for (std::size_t e = 0; e < cb4; ++e) {
+            const std::int16_t* cw = cb_slice.data() + e * dsub;
+            std::uint32_t acc = 0;
+            for (std::size_t d = 0; d < dsub; ++d) {
+              const std::int32_t diff = res[d] - (cw[d] >> shift);
+              const auto a = static_cast<std::uint32_t>(diff < 0 ? -diff : diff);
+              acc += a * a;
             }
+            lrow[e] = acc;
           }
-          ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
-          charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
-          ctx.charge_adds(cb4 * 2 * dsub);
-          ctx.charge_wram(cb4);
         }
-        for (std::size_t p = 0; p < pairs; ++p) {
-          if constexpr (kMove) {
-            std::uint32_t* prow = pair_lut.data() + (g * pairs + p) * 256;
-            const std::uint32_t* lo_row = lut4.data() + (2 * p) * cb4;
-            const std::uint32_t* hi_row =
-                2 * p + 1 < m ? lut4.data() + (2 * p + 1) * cb4 : nullptr;
-            for (std::size_t b = 0; b < 256; ++b) {
-              const std::size_t lo = b & 0xF;
-              const std::size_t hi = b >> 4;
-              std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
-              if (hi_row && hi < cb4) v += hi_row[hi];
-              prow[b] = v;
-            }
+        ctx.charge_cycles(cb4 * dsub);  // per-component codeword shift
+        charge_square_stream(ctx, args.use_square_lut, cb4 * dsub);
+        ctx.charge_adds(cb4 * 2 * dsub);
+        ctx.charge_wram(cb4);
+      }
+      for (std::size_t p = 0; p < pairs; ++p) {
+        if constexpr (kMove) {
+          std::uint32_t* prow = pair_lut.data() + p * 256;
+          const std::uint32_t* lo_row = lut4.data() + (2 * p) * cb4;
+          const std::uint32_t* hi_row =
+              2 * p + 1 < m ? lut4.data() + (2 * p + 1) * cb4 : nullptr;
+          for (std::size_t b = 0; b < 256; ++b) {
+            const std::size_t lo = b & 0xF;
+            const std::size_t hi = b >> 4;
+            std::uint32_t v = lo < cb4 ? lo_row[lo] : 0;
+            if (hi_row && hi < cb4) v += hi_row[hi];
+            prow[b] = v;
           }
-          ctx.charge_adds(256);
-          ctx.charge_wram(256);
         }
+        ctx.charge_adds(256);
+        ctx.charge_wram(256);
       }
     }
 
-    // ---- DC: stream the shard's codes ONCE, scoring every member's LUT
-    // against each block before advancing. The block schedule is the shared
-    // for_each_code_block iterator (whole codes per block; packed q4 codes
-    // fit twice as many). Per-point compute (lookups + accumulate adds) is
-    // billed per member — only the DMA is amortized. ----
+    // ---- DC: stream the shard's codes, scoring each against the LUT. The
+    // block schedule is the shared for_each_code_block iterator (whole codes
+    // per block; packed q4 codes fit twice as many). ----
     const std::size_t code_size = q4 ? args.code_size_q4 : args.code_size;
     const std::size_t codes_base = q4 ? shard.q4_codes_offset : shard.codes_offset;
     const std::uint32_t kk =
         std::min<std::uint32_t>(args.k, std::max<std::uint32_t>(shard.size, 1));
-    if constexpr (kMove) {
-      heaps.clear();
-      for (std::size_t g = 0; g < width; ++g) heaps.emplace_back(kk);
-    }
+    WramTopK heap(kMove ? kk : 0);
     const std::size_t codes_bytes = static_cast<std::size_t>(shard.size) * code_size;
     const std::size_t lookups = q4 ? pairs : m;
     std::uint32_t point = 0;
@@ -368,120 +330,83 @@ void search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
       const std::size_t points_in_block = block_bytes / code_size;
       if constexpr (kMove) {
         for (std::size_t i = 0; i < points_in_block; ++i, ++point) {
-          // Tombstoned entries are skipped before the top-k push, one check
-          // for all members: a dead point can never evict a live candidate,
-          // so the surviving (dist, id) stream equals a cold rebuild of the
-          // live set.
+          // Tombstoned entries are skipped before the top-k push: a dead
+          // point can never evict a live candidate, so the surviving
+          // (dist, id) stream equals a cold rebuild of the live set.
           if (shard.dead && shard.dead[shard.begin + point]) continue;
           const std::uint8_t* code = code_block.data() + i * code_size;
-          for (std::size_t g = 0; g < width; ++g) {
-            std::uint32_t dist = 0;
-            if (q4) {
-              const std::uint32_t* pair_g = pair_lut.data() + g * pairs * 256;
-              for (std::size_t p = 0; p < pairs; ++p) {
-                dist += pair_g[p * 256 + code[p]];
-              }
-            } else {
-              const std::uint32_t* lut_g = lut.data() + g * m * cb;
-              for (std::size_t sub = 0; sub < m; ++sub) {
-                std::uint32_t entry;
-                if (args.wide_codes) {
-                  std::uint16_t v = 0;
-                  std::memcpy(&v, code + sub * 2, 2);
-                  entry = v;
-                } else {
-                  entry = code[sub];
-                }
-                dist += lut_g[sub * cb + entry];
-              }
+          std::uint32_t dist = 0;
+          if (q4) {
+            for (std::size_t p = 0; p < pairs; ++p) {
+              dist += pair_lut[p * 256 + code[p]];
             }
-            heaps[g].push(dist, point);
+          } else {
+            for (std::size_t sub = 0; sub < m; ++sub) {
+              std::uint32_t entry;
+              if (args.wide_codes) {
+                std::uint16_t v = 0;
+                std::memcpy(&v, code + sub * 2, 2);
+                entry = v;
+              } else {
+                entry = code[sub];
+              }
+              dist += lut[sub * cb + entry];
+            }
           }
+          heap.push(dist, point);
         }
       }
-      // Per point and member: one LUT load per (paired) lookup + the
-      // accumulate adds.
-      ctx.charge_lut_lookups(points_in_block * lookups * width);
-      ctx.charge_adds(points_in_block * (lookups - 1) * width);
+      // Per point: one LUT load per (paired) lookup + the accumulate adds.
+      ctx.charge_lut_lookups(points_in_block * lookups);
+      ctx.charge_adds(points_in_block * (lookups - 1));
     });
     if (shard.dead) {
       // Liveness flags (host-side, one byte per point) stream alongside the
-      // codes and cost one compare each, once per GROUP since the skip is
-      // shared. Billed only when the cluster actually has tombstones, so
-      // read-only runs charge nothing extra.
+      // codes and cost one compare each. Billed only when the cluster
+      // actually has tombstones, so read-only runs charge nothing extra.
       ctx.set_phase(Phase::DC);
       mram_read_chunked<false>(ctx, 0, nullptr, shard.size);
       ctx.charge_cmps(shard.size);
     }
 
-    // ---- TS + AUX per member, each at its task's ORIGINAL output row ----
+    // ---- TS + AUX ----
     // Winners' base-point ids are resolved from the shard's id table (one
     // 4-byte read each; only live points can win), then the sentinel-padded
     // row is written to MRAM. Q4 rows skip the id reads and carry LOCAL
     // shard indices — the host rerank resolves ids while it re-scores the
     // candidates exactly.
-    const std::size_t winners = std::min<std::size_t>(args.k, shard_live_points(shard));
-    for (std::size_t g = 0; g < width; ++g) {
-      ctx.set_phase(Phase::TS);
-      ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, shard.size, kk));
+    ctx.set_phase(Phase::TS);
+    ctx.charge_cycles(amortized_topk_cycles(ctx.config().costs, shard.size, kk));
 
-      ctx.set_phase(Phase::AUX);
-      if constexpr (kMove) {
-        std::vector<KernelHit> hits = heaps[g].sorted();
-        assert(hits.size() == winners);
-        if (!q4) {
-          for (KernelHit& h : hits) {
-            ctx.mram_read_t<std::uint32_t>(shard.ids_offset + h.id * sizeof(std::uint32_t),
-                                           {&h.id, 1});
-          }
+    ctx.set_phase(Phase::AUX);
+    const std::size_t winners = std::min<std::size_t>(args.k, shard_live_points(shard));
+    if constexpr (kMove) {
+      std::vector<KernelHit> hits = heap.sorted();
+      assert(hits.size() == winners);
+      if (!q4) {
+        for (KernelHit& h : hits) {
+          ctx.mram_read_t<std::uint32_t>(shard.ids_offset + h.id * sizeof(std::uint32_t),
+                                         {&h.id, 1});
         }
-        hits.resize(args.k, KernelHit{});  // sentinel-pad short shards
-        ctx.mram_write(args.output_offset + group[g] * args.k * sizeof(KernelHit),
-                       {reinterpret_cast<const std::uint8_t*>(hits.data()),
-                        args.k * sizeof(KernelHit)});
-      } else {
-        if (!q4) {
-          for (std::size_t h = 0; h < winners; ++h) {
-            ctx.charge_mram_read(sizeof(std::uint32_t));
-          }
-        }
-        ctx.charge_mram_write(args.k * sizeof(KernelHit));
       }
+      hits.resize(args.k, KernelHit{});  // sentinel-pad short shards
+      ctx.mram_write(args.output_offset + t * args.k * sizeof(KernelHit),
+                     {reinterpret_cast<const std::uint8_t*>(hits.data()),
+                      args.k * sizeof(KernelHit)});
+    } else {
+      if (!q4) {
+        for (std::size_t h = 0; h < winners; ++h) {
+          ctx.charge_mram_read(sizeof(std::uint32_t));
+        }
+      }
+      ctx.charge_mram_write(args.k * sizeof(KernelHit));
     }
   }
 }
 
 }  // namespace
 
-std::vector<FusedTaskGroup> plan_task_fusion(std::span<const KernelTask> tasks,
-                                             std::size_t fuse_width) {
-  const std::size_t width = std::max<std::size_t>(fuse_width, 1);
-  std::vector<FusedTaskGroup> groups;
-  // Open group per (shard_slot, rung); the map is only ever point-queried, so
-  // its iteration order never influences the (deterministic) group order.
-  std::unordered_map<std::uint64_t, std::size_t> open;
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    const bool q4 = task_is_q4(tasks[t]);
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(tasks[t].shard_slot) << 1) | (q4 ? 1u : 0u);
-    const auto it = open.find(key);
-    if (it != open.end() && groups[it->second].tasks.size() < width) {
-      groups[it->second].tasks.push_back(static_cast<std::uint32_t>(t));
-      continue;
-    }
-    if (it != open.end()) it->second = groups.size();
-    else open.emplace(key, groups.size());
-    FusedTaskGroup g;
-    g.shard_slot = tasks[t].shard_slot;
-    g.q4 = q4;
-    g.tasks.push_back(static_cast<std::uint32_t>(t));
-    groups.push_back(std::move(g));
-  }
-  return groups;
-}
-
-std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
-                                    std::size_t full_width, std::size_t q4_width) {
+std::size_t search_wram_bytes(const SearchKernelArgs& args, bool q4) {
   const std::size_t dim = args.dim;
   const std::size_t m = args.m;
   const std::size_t cb = args.cb;
@@ -489,33 +414,23 @@ std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
   const std::size_t pairs = (m + 1) / 2;
   const std::size_t sq_lut_bytes =
       args.use_square_lut ? (args.sq_lut_max_abs + 1) * sizeof(std::uint32_t) : 0;
-  // One LUT slab row per full-rung member (at least one, even in an all-q4
-  // launch), one shared lut4 scratch plus a pair-LUT row per q4 member, and
-  // one k-entry heap per member of the widest group. Everything else —
-  // query / centroid / residual scratch, one codebook slice, ONE code block,
-  // the square table — is group-shared.
-  const std::size_t heap_width =
-      std::max<std::size_t>(std::max(full_width, q4_width), 1);
-  std::size_t bytes = dim * 2 + dim * 2 + dim * 4 +
-                      std::max<std::size_t>(full_width, 1) * m * cb * 4 +
+  std::size_t bytes = dim * 2 + dim * 2 + dim * 4 + m * cb * 4 +
                       std::min(cb * dsub * 2, kMaxDmaBytes * 2) + kMaxDmaBytes +
-                      sq_lut_bytes + heap_width * args.k * sizeof(KernelHit);
-  if (q4_width > 0) bytes += m * args.cb4 * 4 + q4_width * pairs * 256 * 4;
+                      sq_lut_bytes + args.k * sizeof(KernelHit);
+  if (q4) bytes += m * args.cb4 * 4 + pairs * 256 * 4;
   return bytes;
 }
 
 void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                        std::span<const ShardRegion> shards,
-                       std::span<const KernelTask> tasks,
-                       std::span<const FusedTaskGroup> groups) {
-  search_kernel<true>(ctx, args, shards, tasks, groups);
+                       std::span<const KernelTask> tasks) {
+  search_kernel<true>(ctx, args, shards, tasks);
 }
 
 void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                           std::span<const ShardRegion> shards,
-                          std::span<const KernelTask> tasks,
-                          std::span<const FusedTaskGroup> groups) {
-  search_kernel<false>(ctx, args, shards, tasks, groups);
+                          std::span<const KernelTask> tasks) {
+  search_kernel<false>(ctx, args, shards, tasks);
 }
 
 void run_cl_kernel(DpuContext& ctx, const ClKernelArgs& args) {

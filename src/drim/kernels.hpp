@@ -29,7 +29,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
-#include <vector>
 
 #include "pim/dpu.hpp"
 
@@ -148,63 +147,27 @@ struct SearchKernelArgs {
   std::size_t codebooks_q4_offset = 0;  ///< int16[m * cb4 * dsub]
 };
 
-// ---- cluster-major task fusion (DESIGN.md §16) ----
-// Under Zipf-skewed batches the hottest clusters are probed by many queries
-// of the same launch, and an unfused launch re-streams the cluster's codes
-// from MRAM once per probing query. Fusion groups a DPU's tasks by
-// (shard, rung) into groups of up to fuse_width members; the kernel builds
-// every member's LUT, then streams the shard's codes ONCE, scoring each code
-// block against all member LUTs before advancing. Each member keeps its own
-// LUT, its own bounded top-k, and its own k-hit output row at the task's
-// original index, so results are bit-identical to the unfused launch at any
-// width — only the DMA charges shrink.
+/// WRAM working-set bytes of a search launch: query / centroid / residual
+/// scratch, one LUT, one codebook slice, one code block, the square table
+/// and one k-entry heap, plus the q4 rung's coarse sub-LUT and pair-LUT
+/// buffers when `q4` (the launch carries a 4-bit task). The one accounting:
+/// the kernel checks it at launch and the engine checks it up front.
+std::size_t search_wram_bytes(const SearchKernelArgs& args, bool q4);
 
-/// One fused group: tasks (indices into the launch's task list) that scan
-/// the same shard on the same precision rung.
-struct FusedTaskGroup {
-  std::uint32_t shard_slot = 0;
-  bool q4 = false;
-  std::vector<std::uint32_t> tasks;
-};
-
-/// Group a launch's task list into fused groups of up to `fuse_width`
-/// members by (shard_slot, rung). Deterministic: tasks are scanned in list
-/// order, each joining the open group for its key (a full group closes and a
-/// new one opens), and groups are emitted in creation order — independent of
-/// host thread count. fuse_width < 1 is treated as 1.
-std::vector<FusedTaskGroup> plan_task_fusion(std::span<const KernelTask> tasks,
-                                             std::size_t fuse_width);
-
-/// WRAM working-set bytes of a search launch whose widest full-rung group
-/// has `full_width` members and widest q4 group `q4_width` (0 = no group on
-/// that rung; an unfused launch is width 1 on each rung it carries): shared
-/// scratch + one LUT slab row per full member, one pair-LUT row per q4
-/// member, one code block, and one k-entry heap per member of the widest
-/// group. The one accounting: the kernel checks it at launch and the engine
-/// checks it up front (fuse_width and WRAM feasibility).
-std::size_t fused_search_wram_bytes(const SearchKernelArgs& args,
-                                    std::size_t full_width, std::size_t q4_width);
-
-/// Execute the search kernel for `tasks` against the shard catalog. Results
-/// for task t land at output_offset + t * k * sizeof(KernelHit), sorted
-/// ascending, padded with sentinel (0xFFFFFFFF) entries when a shard has
-/// fewer than k points. `groups`, when non-empty, must partition
-/// [0, tasks.size()) (as produced by plan_task_fusion over the same task
-/// list) and is shipped to the DPU as a group-descriptor table; empty means
-/// one group per task in task order, with no descriptor table shipped or
-/// charged.
+/// Execute the search kernel for `tasks` against the shard catalog, one task
+/// per iteration. Results for task t land at output_offset + t * k *
+/// sizeof(KernelHit), sorted ascending, padded with sentinel (0xFFFFFFFF)
+/// entries when a shard has fewer than k points.
 void run_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                        std::span<const ShardRegion> shards,
-                       std::span<const KernelTask> tasks,
-                       std::span<const FusedTaskGroup> groups = {});
+                       std::span<const KernelTask> tasks);
 
 /// Charge-only instantiation of the search kernel (AnalyticPimPlatform):
 /// same WRAM budget check, DMA schedule and instruction tallies as
 /// run_search_kernel, without touching MRAM or computing a result.
 void charge_search_kernel(DpuContext& ctx, const SearchKernelArgs& args,
                           std::span<const ShardRegion> shards,
-                          std::span<const KernelTask> tasks,
-                          std::span<const FusedTaskGroup> groups = {});
+                          std::span<const KernelTask> tasks);
 
 /// Arguments for the optional cluster-locating kernel (CL on the PIM instead
 /// of the host — the placement alternative of Section III-B). Each DPU owns

@@ -32,16 +32,6 @@ struct SchedulerParams {
   /// independent (TS sees the same point stream either way).
   double l_lut_q4 = 4000.0;
   double l_calu_q4 = 20.0;
-  /// Per-point DC DMA share of l_calu (cycles/point spent streaming codes
-  /// from MRAM). When `fuse_width` > 1 the kernel streams each cluster's
-  /// codes once per fused group, so all members past the first skip this
-  /// term; Eq. 15 amortizes it by the configured width. Zero keeps the
-  /// original pricing.
-  double l_dc_dma = 0.0;
-  double l_dc_dma_q4 = 0.0;
-  /// Cluster-major fusion width the engine will run with (DESIGN.md §16).
-  /// 1 = unfused (one group per task), no amortization.
-  std::size_t fuse_width = 1;
   bool enable_filter = true;
   double filter_slack = 0.30;  ///< defer work above (1+slack)*mean load
   SchedulePolicy policy = SchedulePolicy::kGreedy;
@@ -70,15 +60,8 @@ class RuntimeScheduler {
   /// task's precision rung.
   double task_cost(const Shard& shard, bool q4) const {
     const double x = static_cast<double>(shard.size());
-    double cost = q4 ? params_.l_lut_q4 + x * params_.l_calu_q4 + x * params_.l_sortu
-                     : params_.l_lut + x * params_.l_calu + x * params_.l_sortu;
-    if (params_.fuse_width > 1) {
-      // Cluster-major fusion streams each shard's codes once per fused group,
-      // so on average a task pays only 1/fuse_width of the DC DMA share.
-      const double dma = q4 ? params_.l_dc_dma_q4 : params_.l_dc_dma;
-      cost -= (1.0 - 1.0 / static_cast<double>(params_.fuse_width)) * x * dma;
-    }
-    return cost;
+    return q4 ? params_.l_lut_q4 + x * params_.l_calu_q4 + x * params_.l_sortu
+              : params_.l_lut + x * params_.l_calu + x * params_.l_sortu;
   }
   /// Full-precision convenience overload.
   double task_cost(const Shard& shard) const { return task_cost(shard, false); }

@@ -153,25 +153,24 @@ void expect_invalid_naming(const Fn& fn, std::initializer_list<std::string> knob
   }
 }
 
-// A search-kernel working set that cannot fit WRAM even unfused fails fast
-// with std::invalid_argument naming m, cb, k and pim.wram_bytes: at
-// construction (k 1) at every fuse width, and at search entry when only the
-// caller's k overflows — never as a runtime_error from inside a launch.
+// A search-kernel working set that cannot fit WRAM fails fast with
+// std::invalid_argument naming m, cb, k and pim.wram_bytes: at construction
+// (k 1), and at search entry when only the caller's k overflows — never as a
+// runtime_error from inside a launch. When only the 4-bit rung's buffers
+// overflow, the error also names enable_q4.
 TEST(EngineEdge, InfeasibleWramWorkingSetNamesTheKnobs) {
   const SyntheticData data = small_data();
   const IvfPqIndex index = small_index(data, 16, 16, 256);  // 16 KB LUT alone
-  for (const std::size_t width : {std::size_t{1}, std::size_t{2}}) {
-    SCOPED_TRACE("fuse_width " + std::to_string(width));
+  {
     DrimEngineOptions o;
     o.pim.num_dpus = 4;
     o.pim.wram_bytes = 16 << 10;
-    o.fuse_width = width;
     expect_invalid_naming([&] { DrimAnnEngine engine(index, data.learn, o); },
                           {"m 16", "cb 256", "k 1", "pim.wram_bytes 16384"});
   }
 
-  // Budget for the unfused working set at k 5: construction (k 1) passes,
-  // a k 10 search is rejected before any launch.
+  // Budget for the working set at k 5: construction (k 1) passes, a k 10
+  // search is rejected before any launch.
   DrimEngineOptions o;
   o.pim.num_dpus = 4;
   const DrimAnnEngine probe(index, data.learn, o);
@@ -182,11 +181,18 @@ TEST(EngineEdge, InfeasibleWramWorkingSetNamesTheKnobs) {
   args.k = 5;
   args.use_square_lut = o.use_square_lut;
   args.sq_lut_max_abs = static_cast<std::uint32_t>(probe.square_lut().max_abs());
-  o.pim.wram_bytes = fused_search_wram_bytes(args, 1, 0);
+  o.pim.wram_bytes = search_wram_bytes(args, false);
   DrimAnnEngine engine(index, data.learn, o);
   EXPECT_EQ(engine.search(data.queries, 5, 4).size(), data.queries.count());
   expect_invalid_naming([&] { engine.search(data.queries, 10, 4); },
                         {"m 16", "cb 256", "k 10",
+                         "pim.wram_bytes " + std::to_string(o.pim.wram_bytes)});
+
+  // The same budget with the ladder on: only the q4 rung's coarse sub-LUT
+  // and pair-LUT buffers overflow, so construction names enable_q4.
+  o.enable_q4 = true;
+  expect_invalid_naming([&] { DrimAnnEngine q4_engine(index, data.learn, o); },
+                        {"enable_q4", "m 16", "cb 256", "k 1",
                          "pim.wram_bytes " + std::to_string(o.pim.wram_bytes)});
 }
 

@@ -1,11 +1,19 @@
 // Direct tests of the DPU search kernel against a hand-computed reference:
 // exact integer ADC distances, sentinel padding, phase counter placement,
-// and WRAM budget enforcement.
+// WRAM budget enforcement, and the shared code-block DMA schedule. Also the
+// host-side replay helpers the analytic platform returns results through:
+// the coalesced multi-query scan and the rerank-LUT reuse must produce rows
+// byte-identical to the single-task paths.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <string>
+#include <vector>
 
+#include "data/synthetic.hpp"
+#include "drim/host_exact.hpp"
 #include "drim/kernels.hpp"
 #include "drim/square_lut.hpp"
 #include "pim/pim_system.hpp"
@@ -227,6 +235,119 @@ TEST(Kernel, EmptyTaskListIsNoop) {
   DpuContext ctx = world.dpu->context();
   run_search_kernel(ctx, world.args, world.shards, {});
   EXPECT_EQ(world.dpu->counters().at(Phase::LC).instr_cycles, 0u);
+}
+
+// The DC loop's DMA schedule is THE shared helper: the functional and
+// charge kernels both iterate for_each_code_block, so asserting its block
+// sequence pins the transfer counts AND sizes both sides issue. Any future
+// fork of the loop shows up here as a schedule mismatch.
+TEST(ForEachCodeBlock, FunctionalAndChargeScheduleAreTheSameSequence) {
+  const std::size_t code_size = 20;  // does not divide kMaxDmaBytes evenly
+  const std::size_t points = 517;
+  const std::size_t codes_bytes = points * code_size;
+  std::vector<std::pair<std::size_t, std::size_t>> a, b;
+  for_each_code_block(codes_bytes, code_size,
+                      [&](std::size_t off, std::size_t bytes) { a.push_back({off, bytes}); });
+  for_each_code_block(codes_bytes, code_size,
+                      [&](std::size_t off, std::size_t bytes) { b.push_back({off, bytes}); });
+  ASSERT_EQ(a, b);  // deterministic: same inputs, same transfer sequence
+  // The schedule covers the region contiguously in DMA-legal blocks of whole
+  // codes.
+  std::size_t expect_off = 0;
+  for (const auto& [off, bytes] : a) {
+    EXPECT_EQ(off, expect_off);
+    EXPECT_LE(bytes, kMaxDmaBytes);
+    EXPECT_EQ(bytes % code_size, 0u);
+    EXPECT_GT(bytes, 0u);
+    expect_off = off + bytes;
+  }
+  EXPECT_EQ(expect_off, codes_bytes);
+  EXPECT_EQ(a.size(), (points + kMaxDmaBytes / code_size - 1) /
+                          (kMaxDmaBytes / code_size));
+}
+
+// ---- host-exact replay helpers ----
+
+class HostReplayTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    SyntheticSpec spec;
+    spec.num_base = 6000;
+    spec.num_queries = 48;
+    spec.num_learn = 2500;
+    spec.num_components = 48;
+    data_ = new SyntheticData(make_sift_like(spec));
+
+    IvfPqParams p;
+    p.nlist = 48;
+    p.pq.m = 16;
+    p.pq.cb_entries = 32;
+    index_ = new IvfPqIndex();
+    index_->train(data_->learn, p);
+    index_->add(data_->base);
+  }
+  static void TearDownTestSuite() {
+    delete data_;
+    delete index_;
+  }
+
+  static inline SyntheticData* data_ = nullptr;
+  static inline IvfPqIndex* index_ = nullptr;
+};
+
+TEST_F(HostReplayTest, HostFusedScanMatchesSingleTaskReplayOnBothRungs) {
+  const PimIndexData data(*index_);
+  std::vector<std::vector<std::int16_t>> q16;
+  for (std::size_t q = 0; q < 4; ++q) {
+    q16.push_back(PimIndexData::quantize_query(data_->queries.row(q)));
+  }
+  const std::uint32_t k = 10;
+  for (std::uint32_t cluster = 0; cluster < 3; ++cluster) {
+    Shard whole;
+    whole.cluster = cluster;
+    whole.begin = 0;
+    whole.end = static_cast<std::uint32_t>(data.cluster_size(cluster));
+    for (const bool q4 : {false, true}) {
+      SCOPED_TRACE("cluster " + std::to_string(cluster) + (q4 ? " q4" : " full"));
+      std::vector<KernelHit> fused_rows(q16.size() * k);
+      std::vector<HostFusedTask> tasks;
+      for (std::size_t w = 0; w < q16.size(); ++w) {
+        tasks.push_back({q16[w].data(), fused_rows.data() + w * k});
+      }
+      host_search_tasks_fused_into(data, tasks, whole, k, q4);
+      for (std::size_t w = 0; w < q16.size(); ++w) {
+        std::vector<KernelHit> row(k);
+        if (q4) {
+          host_search_task_q4_into(data, q16[w], whole, k, row);
+        } else {
+          host_search_task_into(data, q16[w], whole, k, row);
+        }
+        EXPECT_EQ(std::memcmp(row.data(), fused_rows.data() + w * k,
+                              k * sizeof(KernelHit)),
+                  0)
+            << "member " << w;
+      }
+    }
+  }
+}
+
+TEST_F(HostReplayTest, RerankWithPrebuiltLutMatchesRebuildingVariant) {
+  const PimIndexData data(*index_);
+  ASSERT_TRUE(data.has_q4());
+  const auto q16 = PimIndexData::quantize_query(data_->queries.row(0));
+  Shard whole;
+  whole.cluster = 0;
+  whole.begin = 0;
+  whole.end = static_cast<std::uint32_t>(data.cluster_size(0));
+  const std::uint32_t k = 10;
+  std::vector<KernelHit> a(k), b(k);
+  host_search_task_q4_into(data, q16, whole, k, a);
+  std::copy(a.begin(), a.end(), b.begin());
+  host_rerank_q4_row(data, q16, whole, a);
+  std::vector<std::uint32_t> lut(data.m() * data.cb_entries());
+  host_build_adc_lut(data, q16, whole.cluster, lut);
+  host_rerank_q4_row_with_lut(data, lut, whole, b);
+  EXPECT_EQ(std::memcmp(a.data(), b.data(), k * sizeof(KernelHit)), 0);
 }
 
 }  // namespace

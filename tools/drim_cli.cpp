@@ -9,7 +9,7 @@
 //               [--k 10] [--nprobe 16] [--gt gt.ivecs]
 //               [--backend cpu|drim] [--platform sim|analytic] [--dpus 64]
 //               [--pipeline-depth 2] [--batch-size 0] [--rerank 0]
-//               [--fuse-width 1] [--precision full|q4]
+//               [--precision full|q4]
 //               [--shards 1] [--shard-replication 0.1]
 //               [--trace out.json]
 //   drim gt     --base base.bvecs --queries q.fvecs --out gt.ivecs [--k 100]
@@ -19,7 +19,7 @@
 //               [--k 10] [--nprobe 16] [--dpus 64] [--seed 42]
 //               [--backend cpu|drim] [--platform sim|analytic]
 //               [--pipeline-depth 2] [--no-admission] [--flush-every 4]
-//               [--fuse-width 1] [--precision full|q4] [--min-rung 0]
+//               [--precision full|q4] [--min-rung 0]
 //               [--shards 1] [--shard-replication 0.1]
 //               [--trace out.json] [--metrics out.csv|out.json]
 //               [--snapshot-ms 0]
@@ -41,9 +41,6 @@
 // re-ranks them exactly (requires --base). --pipeline-depth D keeps up to D
 // batches in flight so host-link transfers overlap DPU compute (1 = serial;
 // results are bit-identical at every depth, only the modeled timeline moves).
-// --fuse-width G fuses up to G co-cluster tasks per DPU so each cluster's
-// codes stream from MRAM once per batch (results bit-identical at any width;
-// 1 runs unfused, one group per task, with the exact unfused modeled times).
 //
 // --precision picks the rung of the quantization ladder (drim backend only):
 // `full` is the stock 8-bit PQ path, `q4` runs the packed 4-bit codes with
@@ -348,10 +345,6 @@ std::unique_ptr<AnnBackend> backend_from_args(const Args& args, const IvfPqIndex
   opts.pipeline_depth =
       args.get_size_checked("pipeline-depth", opts.pipeline_depth, 1, 64);
   opts.batch_size = args.get_size_checked("batch-size", opts.batch_size, 0, 1 << 20);
-  // Cluster-major task fusion width (DESIGN.md §16); 1 runs unfused (one
-  // group per task), wider amortizes each cluster's MRAM code stream across
-  // co-cluster queries of a batch (bounded by WRAM; the engine validates).
-  opts.fuse_width = args.get_size_checked("fuse-width", opts.fuse_width, 1, 64);
   // Any request for the cheap rung — static (--precision q4) or adaptive
   // (--min-rung >= 1) — needs the engine's q4 tables built.
   opts.enable_q4 = precision_from_args(args) == Precision::kQ4 ||
@@ -437,10 +430,6 @@ int cmd_search(const Args& args) {
   if (const auto* drim_backend = dynamic_cast<const DrimBackend*>(backend.get())) {
     std::printf("  energy: %.2f J modeled\n",
                 drim_backend->engine_stats().energy_joules);
-  }
-  if (stats.dc_bytes_saved > 0) {
-    std::printf("  fusion: %.2f MB of cluster re-streams avoided\n",
-                static_cast<double>(stats.dc_bytes_saved) / 1e6);
   }
   print_shard_health(*backend);
 
