@@ -57,6 +57,13 @@ struct BackendStats {
   /// tier is its only writer, so it is 0 on every other backend and while
   /// no shard is drained.
   std::uint64_t dc_bytes_saved = 0;
+  /// Host bytes backing the simulated MRAM right now (a gauge, not reset by
+  /// reset_stream()): the pages the sim platform has written, summed over
+  /// DPUs and shards. 0 on the analytic platform and on non-PIM backends.
+  std::size_t mram_backed_bytes = 0;
+  /// Logical MRAM those bytes sit in (DPUs x per-DPU capacity, summed over
+  /// shards); 0 on non-PIM backends.
+  std::size_t mram_logical_bytes = 0;
 
   double qps() const { return total_seconds > 0 ? queries / total_seconds : 0.0; }
 };

@@ -146,6 +146,9 @@ BackendStats DrimBackend::stats() const {
   out.batches = stats_.batches;
   out.tasks = stats_.tasks;
   out.batch_seconds = stats_.batch_seconds;
+  const PimPlatform& pim = engine_->platform();
+  out.mram_backed_bytes = pim.mram_backed_bytes();
+  out.mram_logical_bytes = pim.num_dpus() * pim.config().mram_bytes;
   return out;
 }
 

@@ -412,7 +412,12 @@ double ClusterBackend::estimate_batch_seconds(std::size_t num_queries,
 BackendStats ClusterBackend::stats() const {
   if (passthrough()) return shards_[0]->stats();
   BackendStats out = stats_;
-  for (const auto& s : shards_) out.host_wall_seconds += s->stats().host_wall_seconds;
+  for (const auto& s : shards_) {
+    const BackendStats shard = s->stats();
+    out.host_wall_seconds += shard.host_wall_seconds;
+    out.mram_backed_bytes += shard.mram_backed_bytes;
+    out.mram_logical_bytes += shard.mram_logical_bytes;
+  }
   return out;
 }
 

@@ -2,11 +2,12 @@
 // Timing-only PIM platform. Reuses the DpuArrayPlatform chassis (per-DPU
 // counters, allocators, byte tallies, barrier batch loop) but never
 // materializes MRAM bytes: push/broadcast/pull only tally host-link traffic,
-// and the Mram bump allocators track offsets over lazily-backed storage that
-// is never touched. Kernel launches are expected to charge cycles
-// analytically (the charge-only charge_* instantiations in drim/kernels.hpp),
-// so a batch on 2530 DPUs costs microseconds of host time instead of a full
-// byte-level simulation. Because pull() leaves the destination untouched,
+// and the Mram bump allocators track offsets over paged storage that is
+// never written, so no page is ever backed (mram_backed_bytes() stays 0).
+// Kernel launches are expected to charge cycles analytically (the
+// charge-only charge_* instantiations in drim/kernels.hpp), so a batch on
+// 2530 DPUs costs microseconds of host time instead of a full byte-level
+// simulation. Because pull() leaves the destination untouched,
 // the engine computes results itself (host-side exact ADC scan) before
 // billing the pulls — recall numbers stay real, only the cycle charges are
 // schedule-aware estimates. See DESIGN.md "Platform and backend seams".

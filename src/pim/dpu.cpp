@@ -2,47 +2,65 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 namespace drim {
 
-void Mram::ensure_backing(std::size_t end) {
-  if (end > data_.size()) {
-    // Grow geometrically to amortize, never past the logical capacity.
-    data_.resize(std::min(capacity_, std::max(end, data_.size() * 2)));
-  }
-}
-
 std::size_t Mram::alloc(std::size_t bytes) {
-  const std::size_t aligned = (bytes + 7) & ~std::size_t{7};
-  if (used_ + aligned > capacity_) {
-    throw std::runtime_error("MRAM exhausted: need " + std::to_string(aligned) +
+  // Compared against the 8-aligned free space, so no rounding or sum wraps.
+  if (bytes > ((capacity_ - used_) & ~std::size_t{7})) {
+    throw std::runtime_error("MRAM exhausted: need " + std::to_string(bytes) +
                              " bytes, free " + std::to_string(capacity_ - used_));
   }
   const std::size_t offset = used_;
-  used_ += aligned;
+  used_ += (bytes + 7) & ~std::size_t{7};
   return offset;
 }
 
+namespace {
+
+/// Split [offset, offset + size) at page boundaries: calls
+/// fn(page, offset_in_page, offset_in_span, length) for each piece in order.
+template <typename Fn>
+void for_each_page_piece(std::size_t offset, std::size_t size, Fn&& fn) {
+  for (std::size_t done = 0; done < size;) {
+    const std::size_t at = offset + done;
+    const std::size_t in_page = at % Mram::kPageBytes;
+    const std::size_t n = std::min(Mram::kPageBytes - in_page, size - done);
+    fn(at / Mram::kPageBytes, in_page, done, n);
+    done += n;
+  }
+}
+
+}  // namespace
+
 void Mram::write(std::size_t offset, std::span<const std::uint8_t> src) {
-  if (offset + src.size() > capacity_) {
+  if (!in_range(offset, src.size())) {
     throw std::runtime_error("MRAM write out of range");
   }
-  ensure_backing(offset + src.size());
-  std::memcpy(data_.data() + offset, src.data(), src.size());
+  for_each_page_piece(offset, src.size(), [&](std::size_t page, std::size_t in_page,
+                                              std::size_t done, std::size_t n) {
+    if (page >= pages_.size()) pages_.resize(page + 1);
+    if (!pages_[page]) {
+      pages_[page] = std::make_unique<std::uint8_t[]>(kPageBytes);  // zeroed
+      ++backed_pages_;
+    }
+    std::memcpy(pages_[page].get() + in_page, src.data() + done, n);
+  });
 }
 
 void Mram::read(std::size_t offset, std::span<std::uint8_t> dst) const {
-  if (offset + dst.size() > capacity_) {
+  if (!in_range(offset, dst.size())) {
     throw std::runtime_error("MRAM read out of range");
   }
-  if (offset + dst.size() > data_.size()) {
-    // Untouched MRAM reads as zeros without forcing backing allocation.
-    std::fill(dst.begin(), dst.end(), std::uint8_t{0});
-    const std::size_t avail = offset < data_.size() ? data_.size() - offset : 0;
-    if (avail > 0) std::memcpy(dst.data(), data_.data() + offset, std::min(avail, dst.size()));
-    return;
-  }
-  std::memcpy(dst.data(), data_.data() + offset, dst.size());
+  for_each_page_piece(offset, dst.size(), [&](std::size_t page, std::size_t in_page,
+                                              std::size_t done, std::size_t n) {
+    if (page < pages_.size() && pages_[page]) {
+      std::memcpy(dst.data() + done, pages_[page].get() + in_page, n);
+    } else {
+      std::memset(dst.data() + done, 0, n);  // never written: reads as zeros
+    }
+  });
 }
 
 void DpuContext::mram_read(std::size_t mram_offset, std::span<std::uint8_t> dst) {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -26,41 +27,58 @@ namespace drim {
 /// One DPU's private 64 MB MRAM. A bump allocator hands out regions; reads
 /// and writes are plain memcpy (costs are charged by DpuContext, which is the
 /// only path kernels may use).
+///
+/// Capacity is logical. The bytes live in fixed kPageBytes pages, each
+/// allocated zeroed on the first write that reaches it; a page never written
+/// reads as zeros and backs nothing. Host memory therefore tracks the bytes a
+/// DPU actually holds, not how far up MRAM they sit (the depth-2 staging slot
+/// ~32 MB up costs the pages a step writes there, not a 32 MB prefix), so
+/// thousands of mostly-empty 64 MB DPUs stay cheap.
 class Mram {
  public:
-  /// Capacity is logical; backing storage grows on first touch so simulating
-  /// thousands of mostly-empty 64 MB DPUs stays cheap.
+  static constexpr std::size_t kPageBytes = std::size_t{64} << 10;
+
   explicit Mram(std::size_t capacity) : capacity_(capacity) {}
 
   std::size_t capacity() const { return capacity_; }
   std::size_t used() const { return used_; }
+  /// Host bytes backing this MRAM: kPageBytes per page written since the
+  /// last reset().
+  std::size_t backed_bytes() const { return backed_pages_ * kPageBytes; }
+
+  /// True when [offset, offset + size) lies inside the logical capacity
+  /// (written so that no sum can wrap).
+  bool in_range(std::size_t offset, std::size_t size) const {
+    return size <= capacity_ && offset <= capacity_ - size;
+  }
 
   /// Reserve `bytes` (8-byte aligned, as UPMEM DMA requires). Throws
   /// std::bad_alloc-like runtime_error when MRAM is exhausted.
   std::size_t alloc(std::size_t bytes);
 
-  /// Release every allocation and zero the backing store. The engine uses
-  /// this when it installs a new index snapshot: the whole static layout
-  /// (codes, ids, codebooks, centroids, staging) is rebuilt from scratch,
-  /// which keeps the functional simulation bit-exact while the *billed*
-  /// publish cost stays the modeled delta, not the physical reload.
+  /// Release every allocation and every backing page, so all of MRAM reads
+  /// as zeros again. The engine uses this when it installs a new index
+  /// snapshot: the whole static layout (codes, ids, codebooks, centroids,
+  /// staging) is rebuilt from scratch, which keeps the functional
+  /// simulation bit-exact while the *billed* publish cost stays the modeled
+  /// delta, not the physical reload.
   void reset() {
     used_ = 0;
-    std::fill(data_.begin(), data_.end(), std::uint8_t{0});
+    pages_.clear();
+    backed_pages_ = 0;
   }
 
   /// Host-side (transfer) access — used by SimPimPlatform, not by kernels.
+  /// Both throw std::runtime_error when the range leaves the capacity.
   void write(std::size_t offset, std::span<const std::uint8_t> src);
   void read(std::size_t offset, std::span<std::uint8_t> dst) const;
 
-  const std::uint8_t* raw(std::size_t offset) const { return data_.data() + offset; }
-  std::uint8_t* raw(std::size_t offset) { return data_.data() + offset; }
-
  private:
-  void ensure_backing(std::size_t end);
-
   std::size_t capacity_;
-  std::vector<std::uint8_t> data_;  // grows lazily up to capacity_
+  // Page i backs [i * kPageBytes, (i + 1) * kPageBytes); null until first
+  // written. The table itself only grows to the highest page written.
+  std::vector<std::unique_ptr<std::uint8_t[]>> pages_;
+  std::size_t backed_pages_ = 0;
   std::size_t used_ = 0;
 };
 

@@ -76,6 +76,10 @@ class PimPlatform {
   virtual std::size_t alloc_on(std::size_t dpu_id, std::size_t bytes) = 0;
   /// High-water mark of one DPU's MRAM allocator.
   virtual std::size_t mram_used(std::size_t dpu_id) const = 0;
+  /// Host bytes backing simulated MRAM, summed over DPUs: the pages written
+  /// so far on a functional platform, 0 on one that never materializes
+  /// bytes. Compare with num_dpus() * config().mram_bytes (the logical size).
+  virtual std::size_t mram_backed_bytes() const = 0;
 
   // ---- DPU -> host ----
   /// Copy bytes back from one DPU's MRAM. On a non-functional platform the
@@ -90,10 +94,11 @@ class PimPlatform {
   virtual double drain_pending_transfer() = 0;
 
   /// Release every MRAM allocation on every DPU (allocator rewound, backing
-  /// zeroed) so the engine can rebuild the static layout for a new index
-  /// snapshot. The physical reload this enables is a simulation-fidelity
-  /// device; callers bill the *modeled* publish delta and discard the
-  /// reload's drain_pending_transfer() figure (see DESIGN.md §14).
+  /// pages freed, so all MRAM reads as zeros) so the engine can rebuild the
+  /// static layout for a new index snapshot. The physical reload this
+  /// enables is a simulation-fidelity device; callers bill the *modeled*
+  /// publish delta and discard the reload's drain_pending_transfer() figure
+  /// (see DESIGN.md §14).
   virtual void reset_memory() = 0;
 
   /// Run `kernel(dpu_id, ctx)` on every DPU behind one barrier. Counters are

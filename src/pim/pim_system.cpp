@@ -32,6 +32,12 @@ std::size_t DpuArrayPlatform::mram_used(std::size_t dpu_id) const {
   return dpus_.at(dpu_id)->mram().used();
 }
 
+std::size_t DpuArrayPlatform::mram_backed_bytes() const {
+  std::size_t total = 0;
+  for (const auto& d : dpus_) total += d->mram().backed_bytes();
+  return total;
+}
+
 double DpuArrayPlatform::drain_pending_transfer() {
   const std::uint64_t bytes = pending_in_bytes_.exchange(0, std::memory_order_relaxed);
   return static_cast<double>(bytes) / config_.host_link_bytes_per_sec;

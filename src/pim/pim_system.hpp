@@ -51,10 +51,11 @@ class DpuArrayPlatform : public PimPlatform {
   std::size_t alloc_symmetric(std::size_t bytes) override;
   std::size_t alloc_on(std::size_t dpu_id, std::size_t bytes) override;
   std::size_t mram_used(std::size_t dpu_id) const override;
+  std::size_t mram_backed_bytes() const override;
 
   double drain_pending_transfer() override;
-  /// Rewind every DPU's MRAM allocator (and zero backing where it exists) so
-  /// a new index snapshot's static layout can be rebuilt from offset 0.
+  /// Rewind every DPU's MRAM allocator and free its backing pages so a new
+  /// index snapshot's static layout can be rebuilt from offset 0.
   void reset_memory() override {
     for (auto& d : dpus_) d->mram().reset();
   }

@@ -59,6 +59,10 @@ if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 LESS 0.5)
   message(FATAL_ERROR "PIM+rerank recall too low or missing: ${STEP_OUTPUT}")
 endif()
 set(pim_recall ${CMAKE_MATCH_1})
+# The sim backs only the MRAM pages it wrote: some, but far below 8 x 64 MB.
+if(NOT STEP_OUTPUT MATCHES "MRAM backed: [0-9]+\\.[0-9] MB of 512\\.0 MB logical")
+  message(FATAL_ERROR "sim search did not report MRAM backing: ${STEP_OUTPUT}")
+endif()
 
 # Analytic platform must report the same recall as the simulator.
 run_step(${DRIM_BIN} search --index test.idx --queries q.fvecs --base base.bvecs
@@ -74,6 +78,9 @@ run_step(${DRIM_BIN} serve --index test.idx --queries q.fvecs --qps 500
          --requests 64 --dpus 8 --platform analytic)
 if(NOT STEP_OUTPUT MATCHES "backend drim-analytic")
   message(FATAL_ERROR "serve did not report the analytic backend: ${STEP_OUTPUT}")
+endif()
+if(NOT STEP_OUTPUT MATCHES "MRAM backed: 0\\.0 MB of 512\\.0 MB logical")
+  message(FATAL_ERROR "analytic serve backed MRAM bytes: ${STEP_OUTPUT}")
 endif()
 run_step(${DRIM_BIN} serve --index test.idx --queries q.fvecs --qps 500
          --requests 64 --backend cpu)

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "pim/analytic_platform.hpp"
 #include "pim/dpu.hpp"
 #include "pim/energy_model.hpp"
 #include "pim/pim_system.hpp"
@@ -53,6 +57,72 @@ TEST(Mram, OutOfRangeThrows) {
   std::uint8_t buf[16] = {};
   EXPECT_THROW(m.write(60, buf), std::runtime_error);
   EXPECT_THROW(m.read(60, {buf, 16}), std::runtime_error);
+}
+
+TEST(Mram, SizesNearSizeMaxThrowInsteadOfWrapping) {
+  Mram m(1 << 20);
+  std::uint8_t buf[16] = {};
+  const std::size_t offset = SIZE_MAX - 4;  // offset + 16 wraps to 11
+  EXPECT_THROW(m.write(offset, buf), std::runtime_error);
+  EXPECT_THROW(m.read(offset, buf), std::runtime_error);
+  EXPECT_EQ(m.backed_bytes(), 0u);
+  EXPECT_THROW(m.alloc(SIZE_MAX - 3), std::runtime_error);  // rounds up to 0
+  EXPECT_EQ(m.used(), 0u);
+}
+
+TEST(Mram, WriteStraddlingAPageBoundaryReadsBack) {
+  Mram m(4 * Mram::kPageBytes);
+  std::vector<std::uint8_t> src(300);
+  for (std::size_t i = 0; i < src.size(); ++i) src[i] = static_cast<std::uint8_t>(i * 7 + 1);
+  const std::size_t offset = Mram::kPageBytes - 100;
+  m.write(offset, src);
+  EXPECT_EQ(m.backed_bytes(), 2 * Mram::kPageBytes);
+  std::vector<std::uint8_t> dst(src.size());
+  m.read(offset, dst);
+  EXPECT_EQ(dst, src);
+  // A read reaching past the written bytes sees zeros beyond them.
+  std::vector<std::uint8_t> wide(src.size() + 8, 0xAA);
+  m.read(offset - 4, wide);
+  for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(wide[i], 0) << i;
+  for (std::size_t i = 0; i < src.size(); ++i) EXPECT_EQ(wide[4 + i], src[i]) << i;
+  for (std::size_t i = 4 + src.size(); i < wide.size(); ++i) EXPECT_EQ(wide[i], 0) << i;
+}
+
+TEST(Mram, SmallWriteHighUpBacksOnePage) {
+  Mram m(64u << 20);
+  const std::uint8_t src[4] = {1, 2, 3, 4};
+  m.write(32u << 20, src);
+  EXPECT_EQ(m.backed_bytes(), Mram::kPageBytes);
+  std::uint8_t dst[4] = {};
+  m.read(32u << 20, dst);
+  EXPECT_EQ(dst[0], 1);
+  EXPECT_EQ(dst[3], 4);
+}
+
+TEST(Mram, ReadOfUntouchedRangeBacksNothing) {
+  Mram m(64u << 20);
+  std::vector<std::uint8_t> dst(3 * Mram::kPageBytes, 0xFF);
+  m.read(10u << 20, dst);
+  for (std::uint8_t b : dst) ASSERT_EQ(b, 0);
+  EXPECT_EQ(m.backed_bytes(), 0u);
+}
+
+TEST(Mram, ResetReleasesEveryPage) {
+  Mram m(64u << 20);
+  m.alloc(1000);
+  const std::uint8_t src[4] = {9, 8, 7, 6};
+  m.write(0, src);
+  m.write(32u << 20, src);
+  ASSERT_EQ(m.backed_bytes(), 2 * Mram::kPageBytes);
+  m.reset();
+  EXPECT_EQ(m.backed_bytes(), 0u);
+  EXPECT_EQ(m.used(), 0u);
+  for (std::size_t offset : {std::size_t{0}, std::size_t{32u << 20}}) {
+    std::uint8_t dst[4] = {1, 1, 1, 1};
+    m.read(offset, dst);
+    for (std::uint8_t b : dst) EXPECT_EQ(b, 0) << offset;
+  }
+  EXPECT_EQ(m.backed_bytes(), 0u);
 }
 
 TEST(PimConfig, EffectiveIpcSaturatesAtPipelineDepth) {
@@ -165,6 +235,23 @@ TEST(PimSystem, BroadcastReachesAllDpus) {
     sys.pull(d, off, got);
     EXPECT_EQ(got[2], 9);
   }
+}
+
+TEST(PimSystem, MramBackedBytesSumOverDpusAndStayZeroOnAnalytic) {
+  SimPimPlatform sim(small_config(4));
+  AnalyticPimPlatform analytic(small_config(4));
+  const std::uint8_t payload[4] = {1, 2, 3, 4};
+  for (PimPlatform* p : {static_cast<PimPlatform*>(&sim),
+                         static_cast<PimPlatform*>(&analytic)}) {
+    EXPECT_EQ(p->mram_backed_bytes(), 0u);
+    p->broadcast(0, payload);
+    p->push(2, Mram::kPageBytes, payload);
+  }
+  EXPECT_EQ(sim.mram_backed_bytes(), 5 * Mram::kPageBytes);
+  EXPECT_EQ(sim.dpu(2).mram().backed_bytes(), 2 * Mram::kPageBytes);
+  EXPECT_EQ(analytic.mram_backed_bytes(), 0u);
+  sim.reset_memory();
+  EXPECT_EQ(sim.mram_backed_bytes(), 0u);
 }
 
 TEST(PimSystem, BatchTimeIsSlowestDpu) {

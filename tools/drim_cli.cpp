@@ -376,6 +376,16 @@ void print_shard_health(const AnnBackend& backend) {
   }
 }
 
+/// Print how much host memory backs the simulated MRAM (drim backend only:
+/// the CPU baseline has no MRAM, so it reports no logical bytes).
+void print_mram_backing(const BackendStats& stats) {
+  if (stats.mram_logical_bytes == 0) return;
+  const double mb = 1 << 20;
+  std::printf("MRAM backed: %.1f MB of %.1f MB logical\n",
+              static_cast<double>(stats.mram_backed_bytes) / mb,
+              static_cast<double>(stats.mram_logical_bytes) / mb);
+}
+
 int cmd_search(const Args& args) {
   const IvfPqIndex index = load_index(args.require("index"));
   const FloatMatrix queries = load_floats(args.require("queries"));
@@ -431,6 +441,7 @@ int cmd_search(const Args& args) {
     std::printf("  energy: %.2f J modeled\n",
                 drim_backend->engine_stats().energy_joules);
   }
+  print_mram_backing(stats);
   print_shard_health(*backend);
 
   if (rerank > 0) {
@@ -575,6 +586,7 @@ int cmd_serve(const Args& args) {
                 static_cast<unsigned long long>(backend->snapshot_version()),
                 writer->live_count(), writer->nlist());
   }
+  print_mram_backing(res.engine_stats);
   print_shard_health(*backend);
   return 0;
 }
