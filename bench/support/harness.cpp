@@ -4,6 +4,8 @@
 #include <cstdlib>
 #include <fstream>
 
+#include <sys/resource.h>
+
 #include "common/parallel.hpp"
 #include "common/timer.hpp"
 
@@ -221,6 +223,12 @@ GitState query_git_state() {
   return g;
 }
 
+double peak_rss_mb() {
+  rusage usage{};
+  if (::getrusage(RUSAGE_SELF, &usage) != 0) return 0.0;
+  return static_cast<double>(usage.ru_maxrss) / 1024.0;  // Linux reports KB
+}
+
 BenchReport::BenchReport(std::string name)
     : name_(std::move(name)), start_seconds_(steady_seconds()) {}
 
@@ -256,6 +264,7 @@ std::string BenchReport::write(const std::string& dir) const {
   out << "  \"git_detached\": " << (git.detached ? "true" : "false") << ",\n";
   out << "  \"host_wall_seconds\": "
       << json_number(steady_seconds() - start_seconds_) << ",\n";
+  out << "  \"peak_rss_mb\": " << json_number(peak_rss_mb()) << ",\n";
   out << "  \"config\": {";
   for (std::size_t i = 0; i < config_.size(); ++i) {
     if (i) out << ", ";

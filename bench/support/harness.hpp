@@ -49,7 +49,8 @@ struct BenchScale {
 };
 
 /// Apply the host-thread knob: n == 0 reads the DRIM_THREADS env var (unset
-/// or 0 = leave OpenMP at all cores). Returns the effective thread count.
+/// or 0 = leave the host executor at all cores). Returns the effective thread
+/// count.
 std::size_t configure_host_threads(std::size_t n = 0);
 
 /// Dataset + exact ground truth, built once per binary.
@@ -136,11 +137,15 @@ struct GitState {
 /// outside a repository).
 GitState query_git_state();
 
+/// Peak resident set size of this process so far, in MB (getrusage's
+/// ru_maxrss); every BENCH_*.json records it as `peak_rss_mb`.
+double peak_rss_mb();
+
 /// Machine-readable companion to the printed tables: accumulates a config
 /// map plus labeled metric rows and serializes them as BENCH_<name>.json
 /// (bench name, git revision + dirty/detached state, host wall-clock since
-/// construction, config, rows). Every figure/bench binary writes one so
-/// sweeps are scriptable without scraping stdout.
+/// construction, peak RSS, config, rows). Every figure/bench binary writes one
+/// so sweeps are scriptable without scraping stdout.
 class BenchReport {
  public:
   explicit BenchReport(std::string name);

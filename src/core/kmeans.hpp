@@ -1,7 +1,7 @@
 #pragma once
 // Lloyd's k-means with k-means++ seeding. Used for (a) the IVF coarse
 // quantizer (nlist centroids over the learn set) and (b) per-subspace PQ
-// codebook training. Host-side, OpenMP-parallel.
+// codebook training. Host-side, parallel over points via parallel_for.
 
 #include <cstdint>
 #include <vector>

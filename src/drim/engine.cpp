@@ -125,6 +125,11 @@ DrimAnnEngine::DrimAnnEngine(IndexSnapshot snapshot, const FloatMatrix& sample_q
       // components, so leave generous headroom (misses fall back to the
       // multiply path, results stay exact either way).
       sq_lut_(std::min<std::int32_t>(8192, 2 * (255 + data_.max_operand_abs()))) {
+  if (opts_.pipeline_depth == 0) {
+    throw std::invalid_argument(
+        "pipeline_depth 0 is infeasible: pipeline_depth must be >= 1 (1 = one "
+        "MRAM staging slot, 2 = double buffering)");
+  }
   // Heat estimation from the sample query set (Section IV-A). Kept as a
   // member so apply_snapshot() can extend it over split children.
   heat_ = estimate_heat(index(), sample_queries, opts_.heat_nprobe);
@@ -325,9 +330,9 @@ void DrimAnnEngine::load_static_data() {
     throw std::runtime_error("MRAM exhausted by static data; reduce dataset or add DPUs");
   }
 
-  // Slot geometry of the pipelined executor. Depth 1 keeps the serial
-  // path's exact capacity arithmetic (one unaligned full-region slot);
-  // deeper pipelines split the region into equal 8-byte-aligned slots.
+  // Slot geometry of the pipelined executor. Depth 1 keeps one unaligned
+  // full-region slot; deeper pipelines split the region into equal
+  // 8-byte-aligned slots.
   const std::size_t staging_total = opts_.pim.mram_bytes - staging_base_;
   const std::size_t depth = pipeline_depth();
   staging_stride_ =
@@ -446,26 +451,9 @@ double DrimAnnEngine::model_host_cl_seconds(std::size_t num_queries) const {
   return std::max(flops / opts_.host.flops_per_sec, bytes / opts_.host.bytes_per_sec);
 }
 
-DrimAnnEngine::LaunchLayout DrimAnnEngine::serial_launch_layout(
-    double start_s, const BatchResult& batch) {
-  LaunchLayout layout;
-  layout.in_start = start_s;
-  layout.launch_start = start_s + batch.transfer_in_seconds;
-  layout.launch_seconds = batch.total_seconds() - batch.transfer_in_seconds -
-                          batch.transfer_out_seconds - batch.dpu_seconds;
-  layout.kern_start = layout.launch_start + std::max(layout.launch_seconds, 0.0);
-  layout.out_start = layout.kern_start + batch.dpu_seconds;
-  return layout;
-}
-
-void DrimAnnEngine::trace_launch(double start_s, const BatchResult& batch,
-                                 const char* kind,
-                                 const std::vector<std::size_t>& tasks_per_dpu) {
-  trace_launch_spans(serial_launch_layout(start_s, batch), batch, kind, tasks_per_dpu);
-}
-
-void DrimAnnEngine::trace_launch_spans(const LaunchLayout& layout,
-                                       const BatchResult& batch, const char* kind,
+void DrimAnnEngine::trace_launch_spans(double in_start, double compute_start,
+                                       double out_start, const BatchResult& batch,
+                                       const char* kind,
                                        const std::vector<std::size_t>& tasks_per_dpu) {
   if (trace_ == nullptr) return;
   obs::TraceRecorder& tr = *trace_;
@@ -473,12 +461,12 @@ void DrimAnnEngine::trace_launch_spans(const LaunchLayout& layout,
   const std::uint32_t launch_lane = tr.lane("host/launch");
 
   if (batch.transfer_in_seconds > 0.0) {
-    tr.span(xfer_lane, "transfer-in", kind, layout.in_start, batch.transfer_in_seconds);
+    tr.span(xfer_lane, "transfer-in", kind, in_start, batch.transfer_in_seconds);
   }
-  if (layout.launch_seconds > 0.0) {
-    tr.span(launch_lane, "launch", kind, layout.launch_start, layout.launch_seconds);
+  if (batch.launch_overhead_seconds > 0.0) {
+    tr.span(launch_lane, "launch", kind, compute_start, batch.launch_overhead_seconds);
   }
-  const double kern0 = layout.kern_start;
+  const double kern0 = compute_start + batch.launch_overhead_seconds;
 
   char lane_name[32];
   for (std::size_t d = 0; d < batch.per_dpu_seconds.size(); ++d) {
@@ -510,8 +498,7 @@ void DrimAnnEngine::trace_launch_spans(const LaunchLayout& layout,
   }
 
   if (batch.transfer_out_seconds > 0.0) {
-    tr.span(xfer_lane, "transfer-out", kind, layout.out_start,
-            batch.transfer_out_seconds);
+    tr.span(xfer_lane, "transfer-out", kind, out_start, batch.transfer_out_seconds);
   }
 }
 
@@ -519,7 +506,7 @@ double DrimAnnEngine::locate_on_pim(
     const std::vector<std::vector<std::int16_t>>& quantized, std::size_t begin,
     std::size_t end, std::size_t nprobe,
     std::vector<std::vector<std::uint32_t>>& probes, DrimSearchStats& stats,
-    std::size_t slot_base, ClLaunchTrace* deferred_trace) {
+    std::size_t slot_base, ClLaunchTrace& launch) {
   const std::size_t dim = data_.dim();
   const std::size_t num_dpus = pim_->num_dpus();
   const std::size_t nq = end - begin;
@@ -626,18 +613,10 @@ double DrimAnnEngine::locate_on_pim(
         pim_->dpu_phase_seconds(d, Phase::CL);
   }
   stats.counters.add(pim_->aggregate_counters());
-  if (deferred_trace != nullptr) {
-    // The pipelined caller places this launch on the timeline itself, once
-    // begin_batch() has computed where the pre-launch lands.
-    deferred_trace->batch = batch;
-    deferred_trace->active_dpus = active_dpus;
-    deferred_trace->num_queries = nq;
-    deferred_trace->valid = true;
-  } else if (trace_ != nullptr) {
-    trace_launch(trace_->now(), batch, "cl-pim",
-                 std::vector<std::size_t>(active_dpus, nq));
-    trace_->advance(batch.total_seconds());
-  }
+  launch.batch = batch;
+  launch.active_dpus = active_dpus;
+  launch.num_queries = nq;
+  launch.valid = true;
   return batch.total_seconds();
 }
 
@@ -734,11 +713,12 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   if (end == begin && state.carried.empty()) return step;  // nothing to run
 
   // Pipelined executor setup: each step stages into its round-robin MRAM
-  // slot; at depth >= 2 the step's stages are placed on the state's virtual
-  // timeline so they overlap neighboring in-flight steps.
+  // slot, and its stages are placed on the state's virtual timeline so they
+  // overlap neighboring in-flight steps (at depth 1 a step's transfer-in
+  // still waits for the previous step's result pull).
   const std::size_t depth = pipeline_depth();
   const std::size_t slot_base = staging_slot_base(state.step_index);
-  if (depth >= 2 && (!state.pipeline || state.pipeline->depth() != depth)) {
+  if (!state.pipeline || state.pipeline->depth() != depth) {
     state.pipeline = std::make_unique<PipelineTimeline>(depth);
   }
 
@@ -767,7 +747,7 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
     }
     step.cl_pim_seconds =
         locate_on_pim(state.quantized, begin, end, pmax, state.probes, st, slot_base,
-                      depth >= 2 ? &cl_trace : nullptr);
+                      cl_trace);
     for (std::size_t q = begin; q < end; ++q) {
       if (state.probes[q].size() > state.query_nprobe[q]) {
         state.probes[q].resize(state.query_nprobe[q]);
@@ -777,14 +757,17 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
 
   // Open this step on the timeline (reserving the CL pre-launch on the link
   // and DPU array) and trace the CL launch at its scheduled start — the
-  // phase counters it reads are reset by the search run_batch below.
-  if (depth >= 2) {
-    const double pre_start =
-        state.pipeline->begin_batch(state.submit_hint_seconds, step.cl_pim_seconds);
-    if (trace_ != nullptr && cl_trace.valid) {
-      trace_launch(pre_start, cl_trace.batch, "cl-pim",
-                   std::vector<std::size_t>(cl_trace.active_dpus, cl_trace.num_queries));
-    }
+  // phase counters it reads are reset by the search run_batch below. The
+  // pre-launch is one opaque reservation, so its stages run back to back.
+  const double pre_start =
+      state.pipeline->begin_batch(state.submit_hint_seconds, step.cl_pim_seconds);
+  if (trace_ != nullptr && cl_trace.valid) {
+    const BatchResult& cl = cl_trace.batch;
+    const double cl_compute = pre_start + cl.transfer_in_seconds;
+    trace_launch_spans(pre_start, cl_compute,
+                       cl_compute + cl.launch_overhead_seconds + cl.dpu_seconds, cl,
+                       "cl-pim",
+                       std::vector<std::size_t>(cl_trace.active_dpus, cl_trace.num_queries));
   }
 
   // Observed cluster traffic feeds replan_layout()'s heat estimate.
@@ -1068,25 +1051,17 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   step.dpu_seconds = batch.dpu_seconds;
   step.deferred = state.carried.size();
 
-  PipelineSchedule sched;
-  if (depth == 1) {
-    step.step_seconds = step.cl_pim_seconds + std::max(host_side, batch.total_seconds());
-    const double base = std::max(state.last_complete_seconds, state.submit_hint_seconds);
-    step.submit_seconds = base;
-    step.complete_seconds = base + step.step_seconds;
-  } else {
-    PipelineStageTimes stages;
-    stages.transfer_in_seconds = batch.transfer_in_seconds;
-    stages.launch_overhead_seconds = batch.launch_overhead_seconds;
-    stages.compute_seconds = batch.dpu_seconds;
-    stages.transfer_out_seconds = batch.transfer_out_seconds;
-    stages.host_seconds = host_side;
-    sched = state.pipeline->finish_batch(stages);
-    const double base = std::max(state.last_complete_seconds, sched.submit_seconds);
-    step.submit_seconds = base;
-    step.complete_seconds = sched.done_seconds;
-    step.step_seconds = sched.done_seconds - base;
-  }
+  PipelineStageTimes stages;
+  stages.transfer_in_seconds = batch.transfer_in_seconds;
+  stages.launch_overhead_seconds = batch.launch_overhead_seconds;
+  stages.compute_seconds = batch.dpu_seconds;
+  stages.transfer_out_seconds = batch.transfer_out_seconds;
+  stages.host_seconds = host_side;
+  const PipelineSchedule sched = state.pipeline->finish_batch(stages);
+  const double base = std::max(state.last_complete_seconds, sched.submit_seconds);
+  step.submit_seconds = base;
+  step.complete_seconds = sched.done_seconds;
+  step.step_seconds = sched.done_seconds - base;
   state.last_complete_seconds = step.complete_seconds;
   ++state.step_index;
 
@@ -1114,42 +1089,20 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
   if (trace_ != nullptr) {
     std::vector<std::size_t> tasks_per_dpu(num_dpus);
     for (std::size_t d = 0; d < num_dpus; ++d) tasks_per_dpu[d] = dpu_tasks[d].size();
-    if (depth == 1) {
-      // locate_on_pim already advanced the cursor past the CL launch, so the
-      // search launch and the overlapped host CL both start at now().
-      const double exec0 = trace_->now();
-      if (host_cl > 0.0) {
-        trace_->span(trace_->lane("host/cl"), "host-cl", "host", exec0, host_cl,
-                     {{"queries", static_cast<double>(cl_queries)}});
-      }
-      if (host_rerank > 0.0) {
-        trace_->span(trace_->lane("host/rerank"), "host-rerank", "host",
-                     exec0 + host_cl, host_rerank,
-                     {{"q4_tasks", static_cast<double>(q4_tasks)}});
-      }
-      trace_launch(exec0, batch, "search", tasks_per_dpu);
-      trace_->set_now(exec0 + std::max(host_side, batch.total_seconds()));
-    } else {
-      // Pipelined: every span sits at its scheduled absolute time, so
-      // overlapping steps render as overlapping host-link/dpu spans.
-      if (host_cl > 0.0) {
-        trace_->span(trace_->lane("host/cl"), "host-cl", "host", sched.host_start,
-                     host_cl, {{"queries", static_cast<double>(cl_queries)}});
-      }
-      if (host_rerank > 0.0) {
-        trace_->span(trace_->lane("host/rerank"), "host-rerank", "host",
-                     sched.host_start + host_cl, host_rerank,
-                     {{"q4_tasks", static_cast<double>(q4_tasks)}});
-      }
-      LaunchLayout layout;
-      layout.in_start = sched.in_start;
-      layout.launch_start = sched.compute_start;
-      layout.launch_seconds = batch.launch_overhead_seconds;
-      layout.kern_start = sched.compute_start + batch.launch_overhead_seconds;
-      layout.out_start = sched.out_start;
-      trace_launch_spans(layout, batch, "search", tasks_per_dpu);
-      trace_->set_now(state.last_complete_seconds);
+    // Every span sits at its scheduled absolute time, so overlapping steps
+    // render as overlapping host-link/dpu spans.
+    if (host_cl > 0.0) {
+      trace_->span(trace_->lane("host/cl"), "host-cl", "host", sched.host_start,
+                   host_cl, {{"queries", static_cast<double>(cl_queries)}});
     }
+    if (host_rerank > 0.0) {
+      trace_->span(trace_->lane("host/rerank"), "host-rerank", "host",
+                   sched.host_start + host_cl, host_rerank,
+                   {{"q4_tasks", static_cast<double>(q4_tasks)}});
+    }
+    trace_launch_spans(sched.in_start, sched.compute_start, sched.out_start, batch,
+                       "search", tasks_per_dpu);
+    trace_->set_now(state.last_complete_seconds);
   }
   return step;
 }

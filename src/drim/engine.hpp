@@ -63,11 +63,11 @@ struct DrimEngineOptions {
   /// MRAM staging region is split into this many ping/pong slots and
   /// consecutive steps overlap on the virtual timeline (batch i's DPU
   /// compute overlaps batch i-1's result pull and batch i+1's query push).
-  /// 1 = the serial path (each step pays transfer_in + max(dpu) +
-  /// transfer_out end-to-end); 2 = double buffering (default). Results are
-  /// bit-identical at every depth — only modeled timestamps change. Not to
-  /// be confused with PimConfig::pipeline_depth, the DPU's *instruction*
-  /// pipeline depth.
+  /// 1 = one slot (a step's transfer-in waits for the previous step's
+  /// result pull); 2 = double buffering (default). Must be >= 1; the
+  /// constructor rejects 0. Results are bit-identical at every depth — only
+  /// modeled timestamps change. Not to be confused with
+  /// PimConfig::pipeline_depth, the DPU's *instruction* pipeline depth.
   std::size_t pipeline_depth = 2;
   /// Upload the quantization ladder's 4-bit rung tables (coarse codebooks +
   /// packed codes) to MRAM so queries may run at Precision::kQ4. OFF by
@@ -116,7 +116,8 @@ struct DrimSearchStats {
 
 /// Timing/accounting of ONE search_batch() step.
 struct BatchStepStats {
-  /// Modeled critical path of this step: cl_pim + max(host CL, PIM batch).
+  /// Time this step added to the stream's virtual timeline (see
+  /// complete_seconds); for an isolated step, cl_pim + max(host, PIM batch).
   double step_seconds = 0.0;
   double host_cl_seconds = 0.0;      ///< host CL (overlapped with the PIM batch)
   double host_rerank_seconds = 0.0;  ///< q4 exact-rerank host cost (overlapped)
@@ -129,8 +130,8 @@ struct BatchStepStats {
   std::size_t tasks = 0;             ///< tasks executed (fresh + carried)
   std::size_t deferred = 0;          ///< tasks the filter carried to the next step
   /// Absolute placement of this step on the state's virtual timeline: the
-  /// effective submit time (max of the caller's submit hint and, at depth 1,
-  /// the previous completion) and this step's completion. At pipeline depth
+  /// effective submit time (max of the caller's submit hint and the
+  /// previous completion) and this step's completion. At pipeline depth
   /// >= 2 `complete - submit` can be much less than the step's own stage sum
   /// because stages overlap earlier in-flight batches; step_seconds is the
   /// timeline delta `complete - max(previous complete, submit)`, so summing
@@ -162,9 +163,9 @@ struct SearchBatchState {
   std::vector<std::uint32_t> deferred_per_query;  ///< outstanding carried tasks
   std::size_t next_query = 0;  ///< first enqueued query no step has consumed
 
-  // ---- pipelined execution (pipeline_depth >= 2; DESIGN.md §12) ----
+  // ---- pipelined execution (DESIGN.md §12) ----
   /// Virtual timeline the steps of this stream are scheduled on; created
-  /// lazily by search_batch(). Null at depth 1 (serial accounting).
+  /// lazily by search_batch() with the engine's pipeline depth.
   std::unique_ptr<PipelineTimeline> pipeline;
   /// Serve-layer submit time of the next step on the timeline's clock (the
   /// serving runtime sets this before each step; closed-loop search leaves
@@ -325,10 +326,9 @@ class DrimAnnEngine {
   double replan_layout();
 
   const DrimEngineOptions& options() const { return opts_; }
-  /// Sanitized in-flight depth of the pipelined executor (0 is clamped to 1).
-  std::size_t pipeline_depth() const {
-    return opts_.pipeline_depth == 0 ? 1 : opts_.pipeline_depth;
-  }
+  /// In-flight depth of the pipelined executor (>= 1, checked at
+  /// construction).
+  std::size_t pipeline_depth() const { return opts_.pipeline_depth; }
   const PimIndexData& data() const { return data_; }
   /// Seconds the one-time static index upload takes on the host link
   /// (reported in every DrimSearchStats, never billed to a batch).
@@ -361,34 +361,19 @@ class DrimAnnEngine {
   /// wrong depth.
   void ensure_scheduler_params(std::size_t k);
 
-  /// Absolute stage starts of one launch's trace spans. The serial path
-  /// derives them by summing stage durations from start_s; the pipelined
-  /// path takes them straight from the PipelineSchedule, so overlapping
-  /// launches render truthfully on the shared host-link/dpu lanes.
-  struct LaunchLayout {
-    double in_start = 0.0;
-    double launch_start = 0.0;
-    double launch_seconds = 0.0;
-    double kern_start = 0.0;
-    double out_start = 0.0;
-  };
-  static LaunchLayout serial_launch_layout(double start_s, const BatchResult& batch);
-
-  /// Lay one kernel launch on the trace: transfer-in, launch overhead, one
-  /// lane per busy DPU with its phase spans (scaled to the DPU's busy time,
-  /// raw per-phase seconds in the args), transfer-out. Reads the platform's
-  /// per-DPU phase counters, so call it right after run_batch() returns and
+  /// Lay one kernel launch on the trace at its absolute stage starts:
+  /// transfer-in at `in_start`, launch overhead then the kernels from
+  /// `compute_start` (one lane per busy DPU with its phase spans, scaled to
+  /// the DPU's busy time, raw per-phase seconds in the args), transfer-out at
+  /// `out_start`. Reads the platform's per-DPU phase counters, so call it
   /// before the next launch resets them. No-op when no trace is attached.
-  void trace_launch_spans(const LaunchLayout& layout, const BatchResult& batch,
-                          const char* kind,
+  void trace_launch_spans(double in_start, double compute_start, double out_start,
+                          const BatchResult& batch, const char* kind,
                           const std::vector<std::size_t>& tasks_per_dpu);
-  /// Serial-layout convenience wrapper around trace_launch_spans().
-  void trace_launch(double start_s, const BatchResult& batch, const char* kind,
-                    const std::vector<std::size_t>& tasks_per_dpu);
 
-  /// A CL-on-PIM launch whose tracing was deferred by the pipelined path:
-  /// its timeline placement is only known once the step's begin_batch() has
-  /// run, which needs the launch's modeled seconds first.
+  /// A CL-on-PIM launch, captured for tracing: its timeline placement is
+  /// only known once the step's begin_batch() has run, which needs the
+  /// launch's modeled seconds first.
   struct ClLaunchTrace {
     BatchResult batch;
     std::size_t active_dpus = 0;
@@ -399,13 +384,13 @@ class DrimAnnEngine {
   /// CL-on-PIM path: locate clusters for queries [begin, end) with a
   /// dedicated kernel launch staged in the MRAM slot at `slot_base`; fills
   /// probes[] and accumulates stats. Returns the batch's modeled seconds.
-  /// When `deferred_trace` is non-null the launch is not traced here; its
-  /// trace inputs are captured for the caller to place on the timeline.
+  /// The launch is not traced here; its trace inputs are captured in
+  /// `launch` for the caller to place on the timeline.
   double locate_on_pim(const std::vector<std::vector<std::int16_t>>& quantized,
                        std::size_t begin, std::size_t end, std::size_t nprobe,
                        std::vector<std::vector<std::uint32_t>>& probes,
                        DrimSearchStats& stats, std::size_t slot_base,
-                       ClLaunchTrace* deferred_trace);
+                       ClLaunchTrace& launch);
 
   /// Base MRAM offset of the staging slot step `step_index` uses (slots are
   /// assigned round-robin; one slot of staging_stride_ bytes per in-flight
@@ -441,8 +426,8 @@ class DrimAnnEngine {
   std::size_t centroids_off_ = 0;
   std::size_t staging_base_ = 0;  // identical on every DPU
   // Bytes of one staging slot: the whole region above staging_base_ at depth
-  // 1 (the serial path's exact capacity math), the region split depth ways
-  // and 8-byte aligned at depth >= 2 (ping/pong slots).
+  // 1, the region split depth ways and 8-byte aligned at depth >= 2
+  // (ping/pong slots).
   std::size_t staging_stride_ = 0;
   // Per DPU: shard slots in kernel order; slot i of dpu d describes shard
   // dpu_shard_ids_[d][i].

@@ -15,7 +15,8 @@
 // previous occupant's results have been pulled out.
 //
 // The timeline only reorders *modeled timestamps*; the caller still executes
-// batches strictly in order, so results are bit-identical to the serial path.
+// batches strictly in order, so results are bit-identical at every depth. The
+// engine runs every step through it; depth 1 is a single staging slot.
 
 #include <cstddef>
 #include <utility>

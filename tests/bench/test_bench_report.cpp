@@ -1,7 +1,7 @@
 // Unit tests for the BenchReport JSON writer (bench/support/harness.cpp):
 // the BENCH_*.json schema, including the git dirty/detached state fields
 // that make artifacts from unclean trees distinguishable from clean-rev
-// runs. Built as its own target (the main test glob links only the library,
+// runs, and the process's peak RSS. Built as its own target (the main test glob links only the library,
 // and the writer lives in the bench support sources).
 
 #include <gtest/gtest.h>
@@ -49,6 +49,23 @@ TEST(BenchReport, WritesGitStateFields) {
   EXPECT_TRUE(contains(json, "\"knob\": 7"));
   EXPECT_TRUE(contains(json, "\"label\": \"row0\""));
   EXPECT_TRUE(contains(json, "\"qps\": 123.5"));
+}
+
+TEST(BenchReport, WritesPeakRssNextToHostWall) {
+  BenchReport report("report_writer_rss_test");
+  report.add_row("r");
+  const std::string json = slurp(report.write("."));
+  const std::string needle = "\"peak_rss_mb\": ";
+  const std::size_t at = json.find(needle);
+  ASSERT_NE(at, std::string::npos) << json;
+  // A top-level field, written right after host_wall_seconds.
+  EXPECT_LT(json.find("\"host_wall_seconds\": "), at);
+  EXPECT_LT(at, json.find("\"config\": "));
+  // This test process has touched at least a megabyte, and no more than the
+  // probe reports afterwards (the peak only grows).
+  const double written = std::stod(json.substr(at + needle.size()));
+  EXPECT_GT(written, 1.0);
+  EXPECT_LE(written, peak_rss_mb());
 }
 
 TEST(BenchReport, GitStateProbeIsSelfConsistent) {

@@ -51,9 +51,9 @@ if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 LESS 0.4)
   message(FATAL_ERROR "CPU recall too low or missing: ${STEP_OUTPUT}")
 endif()
 
-# Simulated-PIM search with re-ranking (legacy --pim alias for --backend drim).
+# Simulated-PIM search with re-ranking.
 run_step(${DRIM_BIN} search --index test.idx --queries q.fvecs --base base.bvecs
-         --k 10 --nprobe 8 --gt gt.ivecs --pim --dpus 8 --rerank 50)
+         --k 10 --nprobe 8 --gt gt.ivecs --backend drim --dpus 8 --rerank 50)
 string(REGEX MATCH "recall@10 = ([0-9.]+)" _ "${STEP_OUTPUT}")
 if(NOT CMAKE_MATCH_1 OR CMAKE_MATCH_1 LESS 0.5)
   message(FATAL_ERROR "PIM+rerank recall too low or missing: ${STEP_OUTPUT}")

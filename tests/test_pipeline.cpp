@@ -11,6 +11,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "common/parallel.hpp"
 #include "data/synthetic.hpp"
@@ -114,6 +115,43 @@ TEST(PipelineTimeline, DoneTimesAreMonotone) {
   }
 }
 
+// Depth 1 is one staging slot: the engine runs its depth-1 steps on this
+// timeline, so a device-bound step that follows another pays its whole stage
+// sum, and nothing of it overlaps the previous step's device stages.
+TEST(PipelineTimeline, DepthOneDeviceBoundStepsAddTheirStageSum) {
+  PipelineTimeline tl(1);
+  double prev_done = 0.0;
+  double prev_out_end = 0.0;
+  for (int i = 0; i < 4; ++i) {
+    const double pre = i % 2 == 0 ? 0.5 : 0.0;
+    const double in = 1.0 + 0.25 * i;
+    const double lo = 0.125;
+    const double compute = 4.0 - 0.5 * i;
+    const double out = 2.0;
+    const PipelineSchedule s =
+        run_one(tl, 0.0, stages(in, lo, compute, out, /*host=*/0.25), pre);
+    EXPECT_DOUBLE_EQ(s.pre_start, prev_out_end) << "step " << i;
+    EXPECT_DOUBLE_EQ(s.done_seconds - prev_done, pre + in + lo + compute + out)
+        << "step " << i;
+    prev_done = s.done_seconds;
+    prev_out_end = s.out_end;
+  }
+}
+
+// A host-bound step holds the host past its own result pull. The slot is
+// free at out_end, so the next step's transfer-in starts there, while the
+// host work of consecutive steps stays serial.
+TEST(PipelineTimeline, DepthOneHostBoundStepFreesTheSlotAtOutEnd) {
+  PipelineTimeline tl(1);
+  const PipelineSchedule a = run_one(tl, 0.0, stages(1.0, 0.0, 2.0, 1.0, /*host=*/10.0));
+  EXPECT_DOUBLE_EQ(a.out_end, 4.0);
+  EXPECT_DOUBLE_EQ(a.done_seconds, 10.0);
+  const PipelineSchedule b = run_one(tl, 0.0, stages(1.0, 0.0, 2.0, 1.0, /*host=*/3.0));
+  EXPECT_DOUBLE_EQ(b.in_start, a.out_end);
+  EXPECT_DOUBLE_EQ(b.host_start, a.host_end);
+  EXPECT_DOUBLE_EQ(b.done_seconds, a.host_end + 3.0);
+}
+
 TEST(PipelineTimeline, DepthZeroClampsToOne) {
   PipelineTimeline tl(0);
   EXPECT_EQ(tl.depth(), 1u);
@@ -127,7 +165,7 @@ TEST(PipelineTimeline, RejectsNestedBeginBatch) {
 
 // ---- engine-level invariants ----
 
-/// Run `fn` with the OpenMP pool capped at `threads`, restoring after.
+/// Run `fn` with the host executor capped at `threads`, restoring after.
 template <typename Fn>
 auto with_threads(int threads, const Fn& fn) {
   const int saved = num_threads();
@@ -283,6 +321,18 @@ TEST_F(PipelinedEngineTest, BatchSecondsTelescopeToTheTotalAtDepthTwo) {
   double sum = 0.0;
   for (double s : piped.stats.batch_seconds) sum += s;
   EXPECT_NEAR(sum, piped.stats.total_seconds, 1e-9);
+}
+
+TEST_F(PipelinedEngineTest, DepthZeroIsRejectedNamingTheKnob) {
+  const DrimEngineOptions bad = options(PimPlatformKind::kSim, 0);
+  try {
+    DrimAnnEngine engine(*index_, data_->learn, bad);
+    FAIL() << "expected construction to reject pipeline_depth 0";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("pipeline_depth"), std::string::npos) << what;
+    EXPECT_NE(what.find(">= 1"), std::string::npos) << what;
+  }
 }
 
 // ---- ping/pong staging capacity ----

@@ -32,8 +32,8 @@
 // front-end router dispatches each query to the owners of its probed
 // clusters, merging partial top-k lists. serve prints per-shard health.
 //
-// search runs the CPU baseline by default; --backend drim (or the legacy
-// --pim alias) runs the DRIM engine and prints its modeled timing report.
+// search runs the CPU baseline by default; --backend drim runs the DRIM
+// engine and prints its modeled timing report.
 // --platform picks the PIM platform under the drim backend: `sim` is the
 // byte-level functional simulator, `analytic` charges the same cost tables
 // without simulating MRAM (fast at paper-scale DPU counts; identical
@@ -329,15 +329,14 @@ std::size_t min_rung_from_args(const Args& args) {
   return args.get_size_checked("min-rung", 0, 0, 1);
 }
 
-/// Backend selection shared by search and serve: --backend {drim,cpu} with
-/// the legacy --pim boolean as an alias for --backend drim; --platform
-/// {sim,analytic} picks the PIM platform under the drim backend.
+/// Backend selection shared by search and serve: --backend {drim,cpu};
+/// --platform {sim,analytic} picks the PIM platform under the drim backend.
 std::unique_ptr<AnnBackend> backend_from_args(const Args& args, const IvfPqIndex& index,
                                               const FloatMatrix& sample_queries,
                                               std::size_t nprobe,
                                               const std::string& default_backend) {
   const BackendKind kind = parse_backend_kind(
-      args.get("backend", args.has("pim") ? "drim" : default_backend));
+      args.get("backend", default_backend));
   DrimEngineOptions opts;
   opts.pim.num_dpus = args.get_size_checked("dpus", 64, 1, 1'000'000);
   opts.heat_nprobe = nprobe;
