@@ -51,7 +51,15 @@ void DrimBackend::reset_stream() {
 void DrimBackend::maybe_compact() {
   if (live_handles_ == 0 && state_.idle() && !state_.quantized.empty()) {
     handle_base_ += static_cast<std::uint32_t>(state_.quantized.size());
-    state_ = SearchBatchState{};
+    // Drop the per-query tables but keep the virtual timeline: a drained
+    // state's last steps may still be running on the modeled DPU array and
+    // host link, and the next step must queue behind them.
+    SearchBatchState fresh;
+    fresh.pipeline = std::move(state_.pipeline);
+    fresh.submit_hint_seconds = state_.submit_hint_seconds;
+    fresh.last_complete_seconds = state_.last_complete_seconds;
+    fresh.step_index = state_.step_index;
+    state_ = std::move(fresh);
   }
 }
 

@@ -134,6 +134,14 @@ DrimAnnEngine::DrimAnnEngine(IndexSnapshot snapshot, const FloatMatrix& sample_q
   // member so apply_snapshot() can extend it over split children.
   heat_ = estimate_heat(index(), sample_queries, opts_.heat_nprobe);
   probe_counts_.assign(index().nlist(), 0);
+  // A bounded, evenly strided copy of the sample drives the Eq. 15 batch
+  // estimate, which re-locates it at the caller's nprobe.
+  const std::size_t kept = std::min(sample_queries.count(), kHeatSampleRows);
+  heat_sample_ = FloatMatrix(kept, sample_queries.dim());
+  for (std::size_t r = 0; r < kept; ++r) {
+    const auto src = sample_queries.row(r * sample_queries.count() / kept);
+    std::copy(src.begin(), src.end(), heat_sample_.row(r).begin());
+  }
   layout_ = std::make_unique<DataLayout>(data_, opts_.pim.num_dpus, heat_, opts_.layout);
 
   // Exact Eq. 15 coefficients for this index geometry at a placeholder depth;
@@ -221,18 +229,20 @@ void DrimAnnEngine::validate_staging(std::size_t k) const {
   }
 }
 
+SchedulerParams DrimAnnEngine::scheduler_params_for(std::size_t k) const {
+  SchedulerParams p = derive_scheduler_params(opts_.pim, data_.dim(), data_.m(),
+                                              data_.cb_entries(), k, opts_.use_square_lut,
+                                              q4_ready() ? data_.cb4() : 0);
+  // Preserve any filter and policy choices the caller configured.
+  p.enable_filter = opts_.scheduler.enable_filter;
+  p.filter_slack = opts_.scheduler.filter_slack;
+  p.policy = opts_.scheduler.policy;
+  return p;
+}
+
 void DrimAnnEngine::ensure_scheduler_params(std::size_t k) {
   if (k == sched_params_k_) return;
-  // Preserve any filter and policy choices the caller configured.
-  const bool filter = opts_.scheduler.enable_filter;
-  const double slack = opts_.scheduler.filter_slack;
-  const SchedulePolicy policy = opts_.scheduler.policy;
-  opts_.scheduler = derive_scheduler_params(opts_.pim, data_.dim(), data_.m(),
-                                            data_.cb_entries(), k, opts_.use_square_lut,
-                                            q4_ready() ? data_.cb4() : 0);
-  opts_.scheduler.enable_filter = filter;
-  opts_.scheduler.filter_slack = slack;
-  opts_.scheduler.policy = policy;
+  opts_.scheduler = scheduler_params_for(k);
   sched_params_k_ = k;
   if (scheduler_) scheduler_->params() = opts_.scheduler;
 }
@@ -1110,30 +1120,42 @@ BatchStepStats DrimAnnEngine::search_batch(SearchBatchState& state,
 double DrimAnnEngine::estimate_batch_seconds(std::size_t num_queries, std::size_t nprobe,
                                              std::size_t k) const {
   if (num_queries == 0) return 0.0;
-  const SchedulerParams p = derive_scheduler_params(
-      opts_.pim, data_.dim(), data_.m(), data_.cb_entries(), k, opts_.use_square_lut);
-  // Layout means: a (query, cluster) visit costs one task per slice group.
-  const std::size_t nlist = data_.nlist();
-  double total_slices = 0.0;
-  double total_points = 0.0;
-  for (std::uint32_t c = 0; c < nlist; ++c) {
-    const auto& groups = layout_->slice_groups(c);
-    total_slices += static_cast<double>(groups.size());
-    for (const auto& g : groups) {
-      if (!g.empty()) total_points += layout_->shard(g.front()).size();
+  // Eq. 15 prices a batch by its slowest DPU, and at paper scale a batch has
+  // fewer tasks than DPUs, so the estimate must see task granularity: it
+  // dry-runs the engine's own scheduler (its filter settings, nothing
+  // carried) over num_queries-sized chunks of the heat sample, located at
+  // this nprobe against the current snapshot, and prices the median chunk's
+  // most loaded DPU.
+  const RuntimeScheduler dry_run(*layout_, scheduler_params_for(k));
+
+  const std::size_t rows = heat_sample_.count();
+  std::vector<std::vector<std::uint32_t>> sample_probes(rows);
+  parallel_for(0, rows, [&](std::size_t r) {
+    sample_probes[r] = index().locate_clusters(heat_sample_.row(r), nprobe);
+  });
+  // Chunk c holds sample rows c*n .. c*n+n-1, wrapping around when a batch
+  // is larger than the sample.
+  const std::size_t chunks = std::max<std::size_t>(1, rows / num_queries);
+  std::vector<std::pair<double, std::size_t>> priced;  // (slowest DPU, tasks)
+  std::vector<std::vector<std::uint32_t>> chunk_probes(num_queries);
+  for (std::size_t c = 0; c < chunks; ++c) {
+    for (std::size_t i = 0; i < num_queries && rows > 0; ++i) {
+      chunk_probes[i] = sample_probes[(c * num_queries + i) % rows];
     }
+    const Assignment a = dry_run.schedule(chunk_probes, {}, /*final_batch=*/false);
+    std::size_t tasks = a.deferred.size();
+    for (const auto& dpu_tasks : a.per_dpu) tasks += dpu_tasks.size();
+    priced.emplace_back(*std::max_element(a.predicted_load.begin(), a.predicted_load.end()),
+                        tasks);
   }
-  const double mean_slices = nlist > 0 ? total_slices / static_cast<double>(nlist) : 0.0;
-  const double mean_points = total_slices > 0 ? total_points / total_slices : 0.0;
-  const double tasks = static_cast<double>(num_queries) *
-                       static_cast<double>(std::min<std::size_t>(nprobe, nlist)) *
-                       mean_slices;
-  const double cycles = tasks * (p.l_lut + mean_points * (p.l_calu + p.l_sortu));
+  const auto median = priced.begin() + static_cast<std::ptrdiff_t>(priced.size() / 2);
+  std::nth_element(priced.begin(), median, priced.end());
+
   const PimConfig& cfg = opts_.pim;
-  const double dpu_s = cycles / static_cast<double>(cfg.num_dpus) /
-                       cfg.effective_ipc() * cfg.seconds_per_cycle();
+  const double dpu_s = median->first / cfg.effective_ipc() * cfg.seconds_per_cycle();
   const double in_bytes = static_cast<double>(num_queries * data_.dim() * 2);
-  const double out_bytes = tasks * static_cast<double>(k * sizeof(KernelHit));
+  const double out_bytes =
+      static_cast<double>(median->second) * static_cast<double>(k * sizeof(KernelHit));
   const double xfer_s = (in_bytes + out_bytes) / cfg.host_link_bytes_per_sec;
   if (pipeline_depth() <= 1) return cfg.launch_overhead_sec + dpu_s + xfer_s;
   // Steady state of a depth >= 2 pipeline: consecutive batches overlap their

@@ -280,8 +280,13 @@ class DrimAnnEngine {
                               bool flush, DrimSearchStats* stats = nullptr);
 
   /// Eq. 15 open-loop estimate of one batch's modeled service time for
-  /// `num_queries` queries at (k, nprobe), assuming the scheduler spreads
-  /// tasks perfectly across DPUs. The serving layer's admission controller
+  /// `num_queries` queries at (k, nprobe). It prices the slowest DPU, not
+  /// the mean: a dry run of the scheduler (filter as configured, nothing
+  /// carried) over num_queries-sized chunks of the construction-time sample
+  /// (up to kHeatSampleRows rows, located at `nprobe` against the current
+  /// snapshot) gives each chunk's maximum predicted_load, and the median
+  /// chunk's is the batch's DPU time. Transfers are added at depth 1 and
+  /// overlap it at depth >= 2. The serving layer's admission controller
   /// seeds its queue-delay predictor with this.
   double estimate_batch_seconds(std::size_t num_queries, std::size_t nprobe,
                                 std::size_t k) const;
@@ -355,6 +360,10 @@ class DrimAnnEngine {
   /// buffers overflow.
   void validate_wram(std::size_t k) const;
 
+  /// Eq. 15 predictor coefficients for search depth `k` with the caller's
+  /// filter and policy settings.
+  SchedulerParams scheduler_params_for(std::size_t k) const;
+
   /// (Re)derive the Eq. 15 predictor coefficients for search depth `k`,
   /// preserving the caller's filter/policy settings. Cached per k: search()
   /// calls this with its actual k so the TS term is never priced for the
@@ -413,6 +422,10 @@ class DrimAnnEngine {
   /// parent * child_fraction); replaced by observed traffic in
   /// replan_layout().
   std::vector<double> heat_;
+  /// Rows of the construction-time sample kept for estimate_batch_seconds.
+  static constexpr std::size_t kHeatSampleRows = 256;
+  /// Evenly strided copy of up to kHeatSampleRows sample queries.
+  FloatMatrix heat_sample_;
   /// Cluster-visit counts observed by search_batch since the last re-layout.
   std::vector<std::uint64_t> probe_counts_;
   obs::TraceRecorder* trace_ = nullptr;  // not owned; may be null

@@ -94,12 +94,21 @@ Assignment RuntimeScheduler::schedule(const std::vector<std::vector<std::uint32_
 
   // Filter: predicted-slow DPUs hand their cheapest tasks to the next batch
   // ("a DPU that had a long execution time in the previous batch may not
-  // necessarily have a long execution time in the next batch").
+  // necessarily have a long execution time in the next batch"). The cap is
+  // relative to the mean over *busy* DPUs: with fewer tasks than DPUs (paper
+  // scale) the all-DPU mean falls below one task and would defer nearly
+  // everything. A DPU always keeps its last task, so the cap is one a DPU
+  // holding a single task can meet. When every DPU is busy this is the
+  // all-DPU mean, unchanged.
   if (params_.enable_filter && !final_batch && !candidates.empty()) {
-    const double mean_load =
-        std::accumulate(out.predicted_load.begin(), out.predicted_load.end(), 0.0) /
-        static_cast<double>(num_dpus);
-    const double cap = (1.0 + params_.filter_slack) * mean_load;
+    double busy_load = 0.0;
+    std::size_t busy = 0;
+    for (std::size_t dpu = 0; dpu < num_dpus; ++dpu) {
+      if (out.per_dpu[dpu].empty()) continue;
+      busy_load += out.predicted_load[dpu];
+      ++busy;
+    }
+    const double cap = (1.0 + params_.filter_slack) * busy_load / static_cast<double>(busy);
     for (std::size_t dpu = 0; dpu < num_dpus; ++dpu) {
       auto& tasks = out.per_dpu[dpu];
       // Cheapest tasks leave first so the DPU keeps its big, cache-resident
@@ -108,7 +117,7 @@ Assignment RuntimeScheduler::schedule(const std::vector<std::vector<std::uint32_
         return task_cost(layout_.shard(a.shard), is_q4(a.query)) >
                task_cost(layout_.shard(b.shard), is_q4(b.query));
       });
-      while (out.predicted_load[dpu] > cap && !tasks.empty()) {
+      while (out.predicted_load[dpu] > cap && tasks.size() > 1) {
         const Task t = tasks.back();
         tasks.pop_back();
         out.predicted_load[dpu] -= task_cost(layout_.shard(t.shard), is_q4(t.query));

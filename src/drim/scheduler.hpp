@@ -5,7 +5,9 @@
 // paper's Eq. 15, latency = l_LUT + x * l_calu + x * l_sortu (x = shard
 // size), and a greedy pass assigns every task to the least-loaded DPU among
 // the replicas that hold its shard. The *filter* then defers some tasks from
-// predicted-overloaded DPUs into a buffer for the next batch.
+// predicted-overloaded DPUs into a buffer for the next batch: a DPU above
+// (1 + filter_slack) x the mean load of the busy DPUs (those given at least
+// one task) hands over its cheapest tasks, but never its last one.
 
 #include <cstdint>
 #include <vector>
@@ -33,7 +35,7 @@ struct SchedulerParams {
   double l_lut_q4 = 4000.0;
   double l_calu_q4 = 20.0;
   bool enable_filter = true;
-  double filter_slack = 0.30;  ///< defer work above (1+slack)*mean load
+  double filter_slack = 0.30;  ///< defer work above (1+slack)*mean busy-DPU load
   SchedulePolicy policy = SchedulePolicy::kGreedy;
 };
 

@@ -24,11 +24,19 @@ struct RequestRecord {
   double done_s = 0.0;        ///< completion on the virtual clock
   double latency_s = 0.0;     ///< done_s - arrival_s
 
-  // Decomposition of the served path. queue_wait is the request's own
-  // (arrival -> its batch launch); the remaining terms are its batch's
-  // modeled phase times (the whole batch completes together). A request
-  // whose tasks the filter deferred accrues the extra batches in latency_s.
+  // Decomposition of the served path:
+  //   latency_s = queue_wait_s + deferred_s + (span of the completing step),
+  // where the span runs from the completing step's launch to done_s (for a
+  // request an install's flush completed, from the install's start).
+  // queue_wait is the request's own (arrival -> its first step's launch);
+  // deferred_s is the time the filter's deferrals added on top (0 when the
+  // first step completed it). The phase terms below are the completing
+  // step's modeled times (the whole step completes together).
   double queue_wait_s = 0.0;
+  double deferred_s = 0.0;  ///< first step's launch -> completing step's launch
+  /// Steps the request's tasks ran in, first to completing inclusive (1 when
+  /// nothing was deferred; an install's flush counts as one step).
+  std::size_t steps_spanned = 0;
   double host_cl_s = 0.0;   ///< host cluster locating (overlapped)
   double schedule_s = 0.0;  ///< Eq. 15 predict + greedy assign on the host
   double pim_s = 0.0;       ///< PIM batch: transfers + barrier + launch

@@ -255,10 +255,15 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
     }
     apply_updates(t);
   };
+  // Launch instant and index of each request's first step, for the
+  // deferred_s / steps_spanned fields of its record.
+  std::vector<double> first_launch(trace.size(), 0.0);
+  std::vector<std::size_t> first_step(trace.size(), 0);
   // Requests an install flushed to completion get their records closed at
-  // the install instant (their decomposition fields stay as the last step
-  // left them: the flush is maintenance, not a normal serving step).
-  auto sweep_completions = [&](double at) {
+  // the install's end `at`; the install (started at `start`) counts as their
+  // completing step. Their phase fields stay as the last step left them:
+  // the flush is maintenance, not a normal serving step.
+  auto sweep_completions = [&](double start, double at) {
     for (auto it = inflight.begin(); it != inflight.end();) {
       if (!backend_.finished(it->first)) {
         ++it;
@@ -267,6 +272,8 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
       RequestRecord& rec = result.records[it->second];
       rec.done_s = at;
       rec.latency_s = at - rec.request.arrival_s;
+      rec.deferred_s = start - first_launch[it->second];
+      rec.steps_spanned = result.batches - first_step[it->second] + 1;
       rec.results = backend_.take_results(it->first).size();
       it = inflight.erase(it);
     }
@@ -291,7 +298,8 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
     // Ops first: whether the writer is dirty depends on them. Arrivals only
     // once an install is certain — without one, the pipe may still launch a
     // step before they arrive.
-    double at = std::max(now, last_complete);
+    const double start = std::max(now, last_complete);
+    double at = start;
     apply_updates(at);
     const bool publish = pub_due && updates_->writer->dirty();
     if (!publish && !rel_due) return;
@@ -315,7 +323,7 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
     last_complete = at;
     inflight_steps.clear();  // the install's flush drained the pipe
     if (tracing) trace_->set_now(at);
-    sweep_completions(at);
+    sweep_completions(start, at);
     admit_until(at);
   };
 
@@ -407,6 +415,8 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
       RequestRecord& rec = result.records[it->second];
       rec.done_s = complete;
       rec.latency_s = complete - rec.request.arrival_s;
+      rec.deferred_s = now - first_launch[it->second];
+      rec.steps_spanned = result.batches - first_step[it->second];
       rec.host_cl_s = step.host_seconds + step.pre_seconds;
       rec.schedule_s = schedule_s;
       rec.pim_s = step.exec_seconds;
@@ -438,16 +448,19 @@ ServeResult ServingRuntime::run(const std::vector<Request>& trace) {
             backend_.enqueue(pool_.row(req.query), req.k, req.nprobe, req.precision);
         inflight.emplace(handle, static_cast<std::size_t>(req.id));
         result.records[req.id].queue_wait_s = now - req.arrival_s;
+        first_launch[req.id] = now;
+        first_step[req.id] = result.batches;
       }
       const bool flush = no_more_arrivals && batcher.empty();
       launch_step(batch.size(), flush);
       continue;
     }
 
-    // Idle with carried deferred tasks, room in the pipe, and nothing else
-    // to wait for: drain them with a flush step so the stragglers complete.
-    if (can_launch && no_more_arrivals && batcher.empty() &&
-        backend_.has_deferred()) {
+    // Work-conserving drain: with room in the pipe, nothing batched and
+    // deferred tasks carried, run them now in a flush step. Waiting for the
+    // next batch instead would hold them until the next arrival (or, past
+    // the trace's end, forever).
+    if (can_launch && batcher.empty() && backend_.has_deferred()) {
       launch_step(0, /*flush=*/true);
       continue;
     }

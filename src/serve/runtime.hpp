@@ -11,7 +11,7 @@
 //
 // One event loop serves every backend. It keeps up to the backend's
 // pipeline_depth() steps in flight, so a serial backend is a window of one.
-// Three rules each live in one place (DESIGN.md §9):
+// Four rules each live in one place (DESIGN.md §9):
 //  (a) step completion — at depth 1 a step completes at
 //      now + pre + max(host + schedule + merge, exec), and that wall time
 //      feeds the EWMA (serial backends need not anchor complete_seconds to
@@ -20,7 +20,10 @@
 //      arrivals on the way at their own instants;
 //  (c) maintenance — a publish or re-layout runs at the drain instant
 //      max(now, last completion), after the arrivals and update ops up to
-//      that instant have been admitted and applied.
+//      that instant have been admitted and applied;
+//  (d) work-conserving drain — whenever the pipe has room, the batcher is
+//      empty and the backend carries deferred tasks, a flush step runs them
+//      now instead of leaving them for the next arrival's batch.
 
 #include <cstddef>
 #include <memory>
@@ -49,9 +52,11 @@ struct ServeParams {
   /// controller's queue-delay predictor (seeded from Eq. 15).
   double ewma_alpha = 0.25;
   /// Run every Nth backend step with the inter-batch filter disabled
-  /// (0 = never). The filter can re-defer a hot shard's tasks round after
-  /// round, so without a periodic flush a request can starve until the trace
-  /// drains; this bounds any request's deferral to < flush_every extra steps.
+  /// (0 = never). The work-conserving drain flushes deferred tasks whenever
+  /// the batcher runs dry, but under sustained load it never does, and the
+  /// filter can re-defer a hot shard's tasks round after round; the
+  /// periodic flush bounds any request's deferral to < flush_every extra
+  /// steps.
   std::size_t flush_every = 4;
   /// Sample a MetricsSnapshot (queue depth, EWMA, shed rate, ...) into
   /// ServeResult::snapshots every this many virtual seconds (0 = off).

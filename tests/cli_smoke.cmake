@@ -104,6 +104,27 @@ run_step_expect_usage_error("invalid --shard-replication value '1.5'.*\\[0, 1\\]
     ${DRIM_BIN} serve --index test.idx --queries q.fvecs --requests 8
     --dpus 8 --shards 2 --shard-replication 1.5)
 
+# Unknown flags fail at parse time (exit 2) naming the flag, instead of being
+# silently ignored: a removed flag such as --pim must not quietly run the CPU
+# backend.
+run_step_expect_usage_error("unknown flag --pim for drim search"
+    ${DRIM_BIN} search --index test.idx --queries q.fvecs --pim --dpus 8)
+run_step_expect_usage_error("unknown flag --threads for drim serve"
+    ${DRIM_BIN} serve --index test.idx --queries q.fvecs --requests 8 --threads 2)
+
+# The q4 rung steps in --batch-size chunks like full precision: both report
+# the same batch count (40 queries / 8 = 5 batches).
+run_step(${DRIM_BIN} search --index test.idx --queries q.fvecs --k 10 --nprobe 8
+         --backend drim --platform analytic --dpus 8 --batch-size 8)
+string(REGEX MATCH "tasks in ([0-9]+) batches" _ "${STEP_OUTPUT}")
+set(full_batches "${CMAKE_MATCH_1}")
+run_step(${DRIM_BIN} search --index test.idx --queries q.fvecs --k 10 --nprobe 8
+         --backend drim --platform analytic --dpus 8 --batch-size 8 --precision q4)
+string(REGEX MATCH "tasks in ([0-9]+) batches" _ "${STEP_OUTPUT}")
+if(NOT full_batches STREQUAL "5" OR NOT CMAKE_MATCH_1 STREQUAL full_batches)
+  message(FATAL_ERROR "q4 ran ${CMAKE_MATCH_1} batches, full ${full_batches}; want 5 each")
+endif()
+
 # --trace must emit a Chrome-trace JSON that actually parses and carries the
 # documented schema (displayTimeUnit, traceEvents with ph/pid/tid/ts).
 # string(JSON) needs CMake >= 3.19; older CMakes still check the file exists

@@ -4,7 +4,8 @@
 // guarantees that makes safe: handles stay monotonic (never reused, old ones
 // keep answering finished()/take_results() correctly) and a long serving run
 // keeps resident stream memory proportional to the in-flight window, not the
-// trace length.
+// trace length. A rebase must also leave the modeled timeline alone: steps
+// still running on the DPU array keep it busy for the steps after them.
 
 #include <gtest/gtest.h>
 
@@ -115,6 +116,36 @@ TEST_F(CompactionTest, LongTraceKeepsStreamMemoryBounded) {
   // end is the tail since the last rebase, far below the 512-query trace.
   EXPECT_LT(backend.stream_depth(), 128u)
       << "stream state grew with the trace; compaction never fired";
+}
+
+TEST_F(CompactionTest, RebaseKeepsThePipelineTimeline) {
+  // Two steps submitted at the same instant on a depth-2 pipeline: the
+  // second's kernels must queue behind the first's on the DPU array whether
+  // or not the stream was compacted in between (results taken, state
+  // drained). Compaction used to start a fresh timeline, so the second step
+  // ran on an array the first still occupied.
+  DrimEngineOptions o = default_options();
+  o.pipeline_depth = 2;
+  const auto two_steps = [&](bool take_between) {
+    DrimAnnEngine engine(*index_, data_->learn, o);
+    DrimBackend backend(engine);
+    const std::uint32_t first = backend.enqueue(data_->queries.row(0), 10, 8);
+    backend.set_step_start(0.0);
+    const BackendStepStats a = backend.step(0, /*flush=*/true);
+    EXPECT_TRUE(backend.finished(first));
+    if (take_between) (void)backend.take_results(first);
+    (void)backend.enqueue(data_->queries.row(1), 10, 8);
+    EXPECT_EQ(backend.stream_depth(), take_between ? 1u : 2u);
+    backend.set_step_start(0.0);
+    const BackendStepStats b = backend.step(0, /*flush=*/true);
+    return std::make_pair(a, b);
+  };
+  const auto [a, b] = two_steps(/*take_between=*/false);
+  const auto [ca, cb] = two_steps(/*take_between=*/true);
+  EXPECT_GT(b.complete_seconds, a.complete_seconds);
+  EXPECT_EQ(ca.complete_seconds, a.complete_seconds);
+  EXPECT_EQ(cb.submit_seconds, b.submit_seconds);
+  EXPECT_EQ(cb.complete_seconds, b.complete_seconds);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // drim — command-line front end for the DRIM-ANN library.
 //
 //   drim gen    --out-base base.bvecs --out-queries q.fvecs --out-learn l.fvecs
-//               [--n 50000] [--queries 200] [--dim 128] [--deep] [--seed 42]
+//               [--n 50000] [--queries 200] [--learn n/5] [--dim 128]
+//               [--components 64] [--deep] [--seed 42]
 //   drim build  --base base.bvecs --learn l.fvecs --out index.drim
 //               [--nlist 128] [--m 32] [--cb 256] [--variant pq|opq|dpq]
 //   drim info   --index index.drim
@@ -18,7 +19,8 @@
 //               [--slo-ms 0] [--arrivals poisson|onoff] [--skew 0]
 //               [--k 10] [--nprobe 16] [--dpus 64] [--seed 42]
 //               [--backend cpu|drim] [--platform sim|analytic]
-//               [--pipeline-depth 2] [--no-admission] [--flush-every 4]
+//               [--pipeline-depth 2] [--batch-size 0] [--no-admission]
+//               [--flush-every 4]
 //               [--precision full|q4] [--min-rung 0]
 //               [--shards 1] [--shard-replication 0.1]
 //               [--trace out.json] [--metrics out.csv|out.json]
@@ -48,7 +50,8 @@
 // turns on degrade-before-shed admission: requests whose full-precision
 // latency prediction blows the SLO are retried against the q4-rung
 // prediction and served degraded instead of shed when it fits. Either flag
-// builds the engine's q4 tables (enable_q4).
+// builds the engine's q4 tables (enable_q4). A q4 search steps in
+// --batch-size chunks exactly like a full-precision one.
 //
 // serve replays an open-loop request trace (timestamped arrivals drawn from
 // the query file) through the online serving runtime — dynamic batching,
@@ -63,6 +66,11 @@
 // from observed traffic every --relayout-every batches (0 = never), and
 // --split-threshold T splits any cluster whose live size exceeds T.
 //
+// Each subcommand accepts exactly the flags listed for it above; any other
+// --flag (a typo, or a removed flag such as --pim or --threads) exits 2
+// naming it. The CLI has no thread knob: its host executor uses every core
+// (the benches read DRIM_THREADS).
+//
 // --trace writes a Chrome-trace / Perfetto JSON timeline of the run (device
 // phase spans, host phases, serve-layer events); open it at
 // ui.perfetto.dev. --metrics (serve only) writes periodic runtime snapshots
@@ -74,6 +82,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <set>
 #include <string>
 
 #include "backend/backend_factory.hpp"
@@ -95,10 +104,12 @@ namespace {
 
 using namespace drim;
 
-/// Minimal --key value argument map.
+/// Minimal --key value argument map. Only the flags in `known` (the ones the
+/// subcommand reads) are accepted; any other --flag exits 2 naming it, so a
+/// mistyped or removed flag fails instead of being silently ignored.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  Args(int argc, char** argv, int first, const std::set<std::string>& known) {
     for (int i = first; i < argc; ++i) {
       std::string key = argv[i];
       if (key.rfind("--", 0) != 0) {
@@ -106,6 +117,10 @@ class Args {
         std::exit(2);
       }
       key = key.substr(2);
+      if (known.count(key) == 0) {
+        std::fprintf(stderr, "unknown flag --%s for drim %s\n", key.c_str(), argv[first - 1]);
+        std::exit(2);
+      }
       if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
         values_[key] = argv[++i];
       } else {
@@ -404,23 +419,22 @@ int cmd_search(const Args& args) {
   } else {
     // Cheap-rung search goes through the streaming seam: the precision-aware
     // enqueue is per-query, so every backend (drim, cluster router) carries
-    // the rung; backends without a ladder ignore it and serve full.
+    // the rung; backends without a ladder ignore it and serve full. Steps
+    // follow the offline search loop: --batch-size chunks with the filter
+    // on, and a flush only for the final chunk and any carried remainder.
     backend->reset_stream();
     std::vector<std::uint32_t> handles;
     handles.reserve(queries.count());
     for (std::size_t qi = 0; qi < queries.count(); ++qi) {
       handles.push_back(backend->enqueue(queries.row(qi), fetch_k, nprobe, rung));
     }
-    bool pending = true;
-    while (pending) {
-      backend->step(0, /*flush=*/true);
-      pending = false;
-      for (std::uint32_t h : handles) {
-        if (!backend->finished(h)) {
-          pending = true;
-          break;
-        }
-      }
+    const std::size_t nq = queries.count();
+    const std::size_t batch = args.get_size_checked("batch-size", 0, 0, 1 << 20);
+    const std::size_t chunk = batch == 0 ? nq : batch;
+    for (std::size_t consumed = 0; consumed < nq || backend->has_deferred();) {
+      const bool flush = consumed + chunk >= nq;
+      backend->step(chunk, flush);
+      consumed = std::min(nq, consumed + chunk);
     }
     results.reserve(handles.size());
     for (std::uint32_t h : handles) results.push_back(backend->take_results(h));
@@ -596,6 +610,37 @@ void usage() {
                "see the header of tools/drim_cli.cpp for the full reference\n");
 }
 
+/// Flags the drim backend selection (backend_from_args) reads.
+const std::set<std::string> kBackendFlags = {
+    "backend", "platform", "dpus", "pipeline-depth", "batch-size", "precision",
+    "shards", "shard-replication"};
+
+/// Every flag each subcommand reads; anything else is rejected at parse time.
+std::set<std::string> known_flags(const std::string& cmd) {
+  std::set<std::string> flags;
+  if (cmd == "gen") {
+    flags = {"out-base", "out-queries", "out-learn", "n", "queries", "learn", "dim",
+             "components", "seed", "deep"};
+  } else if (cmd == "build") {
+    flags = {"base", "learn", "out", "nlist", "m", "cb", "variant"};
+  } else if (cmd == "info") {
+    flags = {"index"};
+  } else if (cmd == "gt") {
+    flags = {"base", "queries", "out", "k"};
+  } else if (cmd == "search") {
+    flags = kBackendFlags;
+    flags.insert({"index", "queries", "k", "nprobe", "rerank", "base", "gt", "trace"});
+  } else if (cmd == "serve") {
+    flags = kBackendFlags;
+    flags.insert({"index", "queries", "k", "nprobe", "max-batch", "flush-every",
+                  "no-admission", "min-rung", "snapshot-ms", "metrics", "trace",
+                  "max-wait-us", "slo-ms", "qps", "requests", "skew", "seed", "arrivals",
+                  "update-trace", "update-skew", "update-inserts", "publish-every",
+                  "relayout-every", "split-threshold"});
+  }
+  return flags;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -604,18 +649,21 @@ int main(int argc, char** argv) {
     return 2;
   }
   const std::string cmd = argv[1];
-  const Args args(argc, argv, 2);
+  const std::set<std::string> known = known_flags(cmd);
+  if (known.empty()) {
+    usage();
+    return 2;
+  }
+  const Args args(argc, argv, 2, known);
   try {
     if (cmd == "gen") return cmd_gen(args);
     if (cmd == "build") return cmd_build(args);
     if (cmd == "info") return cmd_info(args);
     if (cmd == "gt") return cmd_gt(args);
     if (cmd == "search") return cmd_search(args);
-    if (cmd == "serve") return cmd_serve(args);
+    return cmd_serve(args);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 1;
   }
-  usage();
-  return 2;
 }
